@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use hamlet_serve::rollout::OBSERVE_CAP_ROWS;
 use serde_json::{Number, Value};
 
 use client::{SlotPlan, SlotResult};
@@ -376,13 +377,36 @@ fn start_server(
     a: &Args,
     art: &Path,
     log: &Path,
+    t: &Traffic,
 ) -> Result<(server::ServerProc, Vec<u64>), String> {
     let mut times = Vec::with_capacity(SETUP_STARTS);
     loop {
         let (proc, secs) = server::start(&a.server, art, log)?;
         times.push((secs * 1e9) as u64);
         if times.len() == SETUP_STARTS || a.trace {
+            if a.workload == Workload::CascadeWrites {
+                fill_observe_buffer(proc.addr, &t.fill_observe)?;
+            }
             return Ok((proc, times));
+        }
+    }
+}
+
+/// Fills the server's observe buffer to its cap before the cascade
+/// workload measures. In steady state the buffer is full; filled up front,
+/// it holds the same rows, and so the same memory, on every run, however
+/// many writes the load manages.
+fn fill_observe_buffer(addr: SocketAddr, fill: &client::Op) -> Result<(), String> {
+    loop {
+        let (status, body) = server::send(addr, &fill.http)
+            .map_err(|e| format!("filling the observe buffer: {e}"))?;
+        if status != 200 {
+            return Err(format!("filling the observe buffer: {status} {body}"));
+        }
+        let buffered =
+            client::json_uint(&body, "buffered").ok_or("observe answer without count")?;
+        if buffered >= OBSERVE_CAP_ROWS as u64 {
+            return Ok(());
         }
     }
 }
@@ -395,7 +419,7 @@ fn untraced(
     tcp_before: TcpCounters,
 ) -> Result<Outcome, String> {
     let w = a.workload;
-    let (server, setups) = start_server(a, &prepared.art, log)?;
+    let (server, setups) = start_server(a, &prepared.art, log, t)?;
     let addr = server.addr;
     let before = scrape(addr)?;
     let closed_dur = Duration::from_secs_f64(a.seconds * 0.4 / CYCLES as f64);
@@ -534,7 +558,7 @@ fn traced(
     let art_copy = &run_dir.join("art-inproc");
     copy_artifacts(&prepared.art, art_copy)?;
     let inproc = layers::InProc::boot(art_copy)?;
-    let (server, _) = start_server(a, &prepared.art, log)?;
+    let (server, _) = start_server(a, &prepared.art, log, t)?;
     let addr = server.addr;
     let phase = Duration::from_secs_f64(a.seconds * 0.2);
     let origin = Instant::now();

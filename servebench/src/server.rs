@@ -47,11 +47,17 @@ fn free_port() -> Result<u16, String> {
 
 /// One `GET` on a fresh connection: (status, body).
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
+    send(
+        addr,
+        format!("GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n").as_bytes(),
+    )
+}
+
+/// One request (complete HTTP bytes) on a fresh connection: (status, body).
+pub fn send(addr: SocketAddr, request: &[u8]) -> std::io::Result<(u16, String)> {
     let mut s = TcpStream::connect(addr)?;
     s.set_read_timeout(Some(Duration::from_secs(5)))?;
-    s.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
+    s.write_all(request)?;
     let resp = hamlet_serve::http::read_response(&mut s)?;
     Ok((
         resp.status,

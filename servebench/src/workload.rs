@@ -39,6 +39,10 @@ const OPEN_RPS_OBSERVE: f64 = 200.0;
 /// predict phases of the workloads without concurrent writes.
 const PROBE_OBSERVES: usize = 10;
 
+/// Rows per observe request that fills the observe buffer before the
+/// cascade workload measures.
+const FILL_ROWS: usize = 1024;
+
 /// Registry name the retrains register under.
 const RETRAIN: &str = "retrain";
 
@@ -71,6 +75,9 @@ pub struct Traffic {
     pub observes: Vec<Op>,
     /// Observed rows and labels of each observe request.
     pub observe_src: Vec<(Vec<Vec<u32>>, Vec<bool>)>,
+    /// A [`FILL_ROWS`]-row observe, repeated before measuring until the
+    /// server's observe buffer is full.
+    pub fill_observe: Op,
     /// `[NoJoin, JoinAll]` retrains of an ANN under [`RETRAIN`].
     pub trains: Vec<Op>,
 }
@@ -142,10 +149,8 @@ pub fn traffic(
         .map(|(body, a)| Op::post(Kind::Predict, "/v1/predict", body, Expect::Labels(a.labels)))
         .collect();
 
-    let mut observes = Vec::with_capacity(1024);
-    let mut observe_src = Vec::with_capacity(1024);
-    for _ in 0..1024 {
-        let idx = draw(1 + rng.below(8), &mut rng);
+    let observe = |n: usize, rng: &mut SplitMix| {
+        let idx = draw(n, rng);
         let rows: Vec<Vec<u32>> = idx.iter().map(|&r| p.row(r).to_vec()).collect();
         let labels: Vec<bool> = idx.iter().map(|&r| p.labels[r]).collect();
         let body = format!(
@@ -157,14 +162,16 @@ pub fn traffic(
                 .collect::<Vec<_>>()
                 .join(",")
         );
-        observes.push(Op::post(
-            Kind::Observe,
-            "/v1/observe",
-            &body,
-            Expect::Accepted(rows.len()),
-        ));
-        observe_src.push((rows, labels));
-    }
+        let op = Op::post(Kind::Observe, "/v1/observe", &body, Expect::Accepted(n));
+        (op, (rows, labels))
+    };
+    let (observes, observe_src) = (0..1024)
+        .map(|_| {
+            let n = 1 + rng.below(8);
+            observe(n, &mut rng)
+        })
+        .unzip();
+    let (fill_observe, _) = observe(FILL_ROWS, &mut rng);
 
     // Retrains use the server's default generator seed, so their cost and
     // the memory their versions hold do not vary with the workload seed.
@@ -187,6 +194,7 @@ pub fn traffic(
         predict_bodies,
         observes,
         observe_src,
+        fill_observe,
         trains,
     })
 }
