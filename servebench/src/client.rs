@@ -83,8 +83,6 @@ pub enum Pacing {
 #[derive(Debug, Clone, Copy)]
 pub enum TrainEvery {
     Never,
-    /// One train request every this long.
-    Period(Duration),
     /// One train request after every this many other requests.
     Ops(usize),
 }
@@ -432,10 +430,6 @@ pub fn drive(
     let mut trains_sent = 0usize;
     let mut issued = 0usize;
     let mut since_train = 0usize;
-    let mut next_train = match plan.train_every {
-        TrainEvery::Period(p) => Some(start + p),
-        _ => None,
-    };
     let gap = |rng: &mut SplitMix, rate: f64| Duration::from_secs_f64(-rng.unit().ln() / rate);
     let mut next_due = match plan.pacing {
         Pacing::Closed => start,
@@ -475,19 +469,12 @@ pub fn drive(
                         }
                         let train_due = match plan.train_every {
                             TrainEvery::Never => false,
-                            TrainEvery::Period(_) => next_train.is_some_and(|t| now >= t),
                             TrainEvery::Ops(n) => since_train >= n,
                         };
                         (train_due, now)
                     }
-                    Pacing::Open { .. } => {
-                        let train_at = next_train.filter(|&t| t <= next_due);
-                        match train_at {
-                            Some(t) if t <= now => (true, t),
-                            _ if next_due <= now => (false, next_due),
-                            _ => break,
-                        }
-                    }
+                    Pacing::Open { .. } if next_due <= now => (false, next_due),
+                    Pacing::Open { .. } => break,
                 };
                 if train_due && !plan.trains.is_empty() {
                     to_send.push(Inflight {
@@ -499,9 +486,6 @@ pub fn drive(
                     });
                     trains_sent += 1;
                     since_train = 0;
-                    if let (TrainEvery::Period(p), Some(t)) = (plan.train_every, next_train) {
-                        next_train = Some(t + p);
-                    }
                 } else {
                     to_send.push(Inflight {
                         op: next_op % plan.ops.len(),
@@ -669,9 +653,6 @@ pub fn drive(
         if now < end {
             if let Pacing::Open { .. } = plan.pacing {
                 wake = wake.min(next_due);
-                if let Some(t) = next_train {
-                    wake = wake.min(t);
-                }
             } else if conns.iter().all(|c| c.inflight.is_empty()) {
                 continue;
             }

@@ -71,6 +71,102 @@ pub fn cpu_ticks() -> (u64, u64) {
     (ticks.get(7).copied().unwrap_or(0), ticks.iter().sum())
 }
 
+/// Keeps every CPU of the machine out of its idle state while it lives.
+///
+/// An idle guest CPU halts, and the hypervisor may hand its core to
+/// another guest; the next wakeup then waits for the host's scheduler, for
+/// anything from microseconds on a quiet host to milliseconds on a busy
+/// one. A request-response benchmark wakes a CPU on nearly every request,
+/// so that wait would dominate its median latency and make it follow the
+/// host's load rather than the program. One spinning thread per CPU under
+/// `SCHED_IDLE` keeps the CPUs running; any other thread that wakes
+/// preempts it. The price is a tail of waits of 1–4 ms, most likely
+/// threads queued on a busy CPU until a scheduler tick moves them to a
+/// spinning one (see README.md, "Noise on a shared host").
+pub struct KeepAwake {
+    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+const SCHED_IDLE: i32 = 5;
+
+#[repr(C)]
+struct SchedParam {
+    priority: i32,
+}
+
+extern "C" {
+    fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+}
+
+impl KeepAwake {
+    pub fn start() -> KeepAwake {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let stop = std::sync::Arc::new(AtomicBool::new(false));
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = (0..cpus)
+            .map(|_| {
+                let stop = stop.clone();
+                std::thread::spawn(move || {
+                    // SAFETY: pid 0 is the calling thread; the param is a
+                    // valid struct for the call. On failure the thread
+                    // exits rather than compete with the measured ones.
+                    if unsafe { sched_setscheduler(0, SCHED_IDLE, &SchedParam { priority: 0 }) }
+                        != 0
+                    {
+                        return;
+                    }
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                })
+            })
+            .collect();
+        KeepAwake { stop, threads }
+    }
+}
+
+impl Drop for KeepAwake {
+    fn drop(&mut self) {
+        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Time of one pass of a fixed CPU workload that is the benchmark's own
+/// code, not the program's: hashing a 256 KiB buffer and 64 dot products
+/// over 4 KiB of `f32`. Run between phases, it tracks how fast the host
+/// lets this guest compute at the moment.
+pub fn reference_pass_ns() -> u64 {
+    use std::hint::black_box;
+    thread_local! {
+        static BUF: (Vec<u8>, Vec<f32>, Vec<f32>) = (
+            (0..256 * 1024).map(|i| (i * 7 + 3) as u8).collect(),
+            (0..1024).map(|i| i as f32 * 0.5).collect(),
+            (0..1024).map(|i| 1.0 / (1.0 + i as f32)).collect(),
+        );
+    }
+    BUF.with(|(bytes, a, b)| {
+        let t0 = std::time::Instant::now();
+        let mut h = 0xcbf29ce484222325u64;
+        for &x in black_box(bytes.as_slice()) {
+            h = (h ^ u64::from(x)).wrapping_mul(0x100000001b3);
+        }
+        let mut acc = 0f32;
+        for _ in 0..64 {
+            acc += black_box(a.as_slice())
+                .iter()
+                .zip(black_box(b.as_slice()))
+                .map(|(x, y)| x * y)
+                .sum::<f32>();
+        }
+        black_box((h, acc));
+        t0.elapsed().as_nanos() as u64
+    })
+}
+
 /// Peak resident set (`VmHWM`) of a process, in MiB.
 pub fn peak_rss_mb(pid: u32) -> Option<f64> {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;

@@ -15,9 +15,12 @@ pub const DATASET: &str = "expedia";
 /// Labelled examples in the generated star (train + validation + test).
 pub const SCALE: usize = 2000;
 
-/// Cascade target precisions tried in order until each tier answers at
-/// least [`MIN_TIER_SHARE`] of the held-out rows.
-const TARGET_PS: &[f64] = &[0.9, 0.85, 0.95, 0.8];
+/// Range the cascade's target precision is searched in, and the bisection
+/// steps of the search. The search aims at an even split of the held-out
+/// rows between the tiers, so the work per request, and with it every
+/// figure of the cascade workload, depends little on the seed.
+const TARGET_P_RANGE: (f64, f64) = (0.5, 0.999);
+const TARGET_P_STEPS: usize = 8;
 
 /// Share of rows each cascade tier must answer for the cascade workload to
 /// exercise both.
@@ -127,7 +130,8 @@ pub fn prepare(server: &Path, run_dir: &Path, seed: u64) -> Result<Prepared, Str
         train(TREE, "TreeGini", false)?;
         train(ANN, "Ann", false)?;
         let tiers = format!("{},{}", path(TREE).display(), path(ANN).display());
-        for &target_p in TARGET_PS {
+        // Rows each tier answers on the held-out rows, cascade built at `p`.
+        let split = |p: f64| -> Result<[u64; 2], String> {
             cli(
                 server,
                 &[
@@ -136,7 +140,7 @@ pub fn prepare(server: &Path, run_dir: &Path, seed: u64) -> Result<Prepared, Str
                     "--tiers",
                     &tiers,
                     "--target-p",
-                    &target_p.to_string(),
+                    &p.to_string(),
                     "--name",
                     CASCADE,
                     "--dir",
@@ -150,33 +154,54 @@ pub fn prepare(server: &Path, run_dir: &Path, seed: u64) -> Result<Prepared, Str
             let hist = c
                 .predict_batch_tiered(&rows, d, 1, MIN_ROWS_PER_SHARD)
                 .tier_histogram();
-            let n = labels.len() as f64;
-            if hist[..2].iter().any(|&t| (t as f64) < MIN_TIER_SHARE * n) {
-                continue;
+            Ok([hist[0], hist[1]])
+        };
+        let n = labels.len() as f64;
+        let imbalance = |h: [u64; 2]| (h[0] as f64 - h[1] as f64).abs();
+        // A higher target precision escalates more rows.
+        let (mut lo, mut hi) = TARGET_P_RANGE;
+        let mut best: Option<(f64, [u64; 2])> = None;
+        for _ in 0..TARGET_P_STEPS {
+            let p = (lo + hi) / 2.0;
+            let h = split(p)?;
+            if best.is_none_or(|(_, b)| imbalance(h) < imbalance(b)) {
+                best = Some((p, h));
             }
-            train(MLP, "Ann", true)?;
-            let mlp = path(MLP);
-            let mlp_s = mlp.to_str().ok_or("artifact path is not UTF-8")?;
-            cli(server, &["artifact", "convert", mlp_s, "--quantize", "i8"])?;
-            if !path(MLP_I8).exists() {
-                return Err(format!(
-                    "quantized artifact {} missing",
-                    path(MLP_I8).display()
-                ));
+            if (h[1] as f64) < n / 2.0 {
+                lo = p;
+            } else {
+                hi = p;
             }
-            return Ok(Prepared {
-                art,
-                star_seed,
-                d,
-                rows,
-                labels,
-                target_p,
-                tier_rows: [hist[0], hist[1]],
-            });
         }
+        let Some((target_p, _)) = best else {
+            continue;
+        };
+        let hist = split(target_p)?;
+        if hist.iter().any(|&t| (t as f64) < MIN_TIER_SHARE * n) {
+            continue;
+        }
+        train(MLP, "Ann", true)?;
+        let mlp = path(MLP);
+        let mlp_s = mlp.to_str().ok_or("artifact path is not UTF-8")?;
+        cli(server, &["artifact", "convert", mlp_s, "--quantize", "i8"])?;
+        if !path(MLP_I8).exists() {
+            return Err(format!(
+                "quantized artifact {} missing",
+                path(MLP_I8).display()
+            ));
+        }
+        return Ok(Prepared {
+            art,
+            star_seed,
+            d,
+            rows,
+            labels,
+            target_p,
+            tier_rows: hist,
+        });
     }
     Err(format!(
         "no star of {STAR_ATTEMPTS} derived from seed {seed} gives each cascade tier \
-         {MIN_TIER_SHARE} of the rows at a target-p in {TARGET_PS:?}"
+         {MIN_TIER_SHARE} of the rows at a target-p in {TARGET_P_RANGE:?}"
     ))
 }

@@ -10,9 +10,12 @@ use std::time::{Duration, Instant};
 
 const PR_SET_PDEATHSIG: i32 = 1;
 const SIGKILL: u64 = 9;
+const SIGCONT: i32 = 18;
+const SIGSTOP: i32 = 19;
 
 extern "C" {
     fn prctl(option: i32, ...) -> i32;
+    fn kill(pid: i32, sig: i32) -> i32;
 }
 
 /// A running server; killed and waited for when dropped.
@@ -27,6 +30,41 @@ impl ServerProc {
     pub fn pid(&self) -> u32 {
         self.child.id()
     }
+
+    /// Runs `f` with the server stopped by `SIGSTOP`, so that nothing the
+    /// server does in the background runs beside `f`, then lets it go on.
+    pub fn paused<T>(&self, f: impl FnOnce() -> T) -> T {
+        let pid = self.child.id() as i32;
+        // SAFETY: kill only sends a signal to our own child process.
+        unsafe { kill(pid, SIGSTOP) };
+        // The signal is delivered asynchronously; wait until every thread
+        // has stopped (state `T`), for at most 100 ms.
+        let deadline = Instant::now() + Duration::from_millis(100);
+        while Instant::now() < deadline && !is_stopped(pid) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        let out = f();
+        // SAFETY: as above.
+        unsafe { kill(pid, SIGCONT) };
+        out
+    }
+}
+
+/// Whether every thread of process `pid` is stopped.
+fn is_stopped(pid: i32) -> bool {
+    let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
+        return false;
+    };
+    tasks.flatten().all(|t| {
+        std::fs::read_to_string(t.path().join("stat"))
+            .ok()
+            .and_then(|stat| {
+                // The state follows the parenthesised command name.
+                let state = stat.rsplit_once(')')?.1.trim_start().chars().next()?;
+                Some(state == 'T')
+            })
+            .unwrap_or(false)
+    })
 }
 
 impl Drop for ServerProc {

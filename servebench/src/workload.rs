@@ -1,7 +1,6 @@
 //! The three serving workloads and their traffic, generated from the seed.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use crate::client::{Expect, Kind, Op, Pacing, SlotPlan, SplitMix, TrainEvery};
 use crate::oracle::{Answer, Query};
@@ -17,7 +16,7 @@ pub enum Workload {
     /// the f32 artifact and its i8 copy: the time goes to the kernels.
     Mlp64Row,
     /// 1–8-row predicts against a tree→ANN cascade on one connection,
-    /// observe writes and periodic retrains on the other.
+    /// observe writes at a fixed rate on the other.
     CascadeWrites,
 }
 
@@ -31,9 +30,12 @@ const OPEN_RPS_TREE: f64 = 2000.0;
 const OPEN_RPS_MLP: f64 = 500.0;
 const OPEN_RPS_CASCADE: f64 = 1500.0;
 
-/// Observe writes per second on the cascade workload's write connection in
-/// its open-loop phase.
-const OPEN_RPS_OBSERVE: f64 = 200.0;
+/// Observe writes per second on the cascade workload's write connection,
+/// in both phases. Each costs the server an fsync, whose latency on a
+/// shared host ranged from 0.15 ms to 4 ms: at this rate even the slow
+/// disk keeps up, so the writes compete with the reads without queueing
+/// behind the disk.
+const OPEN_RPS_OBSERVE: f64 = 50.0;
 
 /// Observes before the one retrain of each write probe, which follows the
 /// predict phases of the workloads without concurrent writes.
@@ -201,15 +203,13 @@ pub fn traffic(
 
 /// The two slots of one serving phase of cycle `cycle`: closed loop, or
 /// open loop at the workload's fixed offered rate. Each cycle starts at
-/// another place in the request pool and, on the cascade workload, runs
-/// one retrain halfway through the phase, alternating the configuration.
+/// another place in the request pool.
 pub fn phase_plans(
     w: Workload,
     t: &Traffic,
     open: bool,
     seed: u64,
     cycle: usize,
-    dur: Duration,
 ) -> [SlotPlan<'_>; 2] {
     let phase_seed = seed
         .wrapping_mul(31)
@@ -244,26 +244,26 @@ pub fn phase_plans(
             ]
         }
         Workload::CascadeWrites => {
-            let (a, b) = if open {
-                (
-                    Pacing::Open {
-                        rate: OPEN_RPS_CASCADE,
-                    },
-                    Pacing::Open {
-                        rate: OPEN_RPS_OBSERVE,
-                    },
-                )
+            // The writes arrive at one fixed rate in both phases, so the
+            // read load they compete with never depends on how fast the
+            // disk syncs.
+            let a = if open {
+                Pacing::Open {
+                    rate: OPEN_RPS_CASCADE,
+                }
             } else {
-                (Pacing::Closed, Pacing::Closed)
+                Pacing::Closed
             };
-            let train = (cycle + usize::from(open)) % t.trains.len();
+            let b = Pacing::Open {
+                rate: OPEN_RPS_OBSERVE,
+            };
             [
                 predicts(first, a, 1),
                 SlotPlan {
                     ops: &t.observes,
                     first,
-                    trains: &t.trains[train..=train],
-                    train_every: TrainEvery::Period(dur / 2),
+                    trains: &[],
+                    train_every: TrainEvery::Never,
                     pacing: b,
                     limit: None,
                     seed: phase_seed.wrapping_mul(7).wrapping_add(2),
@@ -274,9 +274,9 @@ pub fn phase_plans(
     }
 }
 
-/// The write probe of cycle `cycle` on the workloads without concurrent
-/// writes: observes, then one retrain (alternating the configuration), on
-/// one closed-loop connection after the cycle's predict phases.
+/// The write probe of cycle `cycle`: observes, then one retrain
+/// (alternating the configuration), on one closed-loop connection after
+/// the cycle's predict phases.
 pub fn probe_plan(t: &Traffic, seed: u64, cycle: usize) -> SlotPlan<'_> {
     let train = cycle % t.trains.len();
     SlotPlan {
