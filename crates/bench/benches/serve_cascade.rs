@@ -194,7 +194,7 @@ fn exec_cascade(c: &mut Criterion) {
         let artifact = artifact_for(model, &ds, &format!("casc-{tag}"));
         for n in SIZES {
             let segments: Vec<&[u32]> = rows[..n].iter().map(Vec::as_slice).collect();
-            // Warm the EWMA so every shape runs with adaptive shard sizing.
+            // Seed the EWMA and warm caches before timing.
             execute_batch(&state, &artifact, &segments, d);
             group.bench_function(format!("exec_merged_{tag}_{n}x1"), |b| {
                 b.iter(|| black_box(execute_batch(&state, &artifact, black_box(&segments), d)))

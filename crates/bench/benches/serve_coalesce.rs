@@ -5,14 +5,11 @@
 //!
 //! - `exec_*` — the executor boundary in isolation: N independent 1-row
 //!   requests through the solo path (`execute_predict`, paying latency
-//!   cell + fan-out budget + EWMA bookkeeping per request) vs. one merged
-//!   `execute_batch` over the same rows. This is the pure dispatch
-//!   amortization, visible even on a single core.
+//!   cell + EWMA bookkeeping per request) vs. one merged `execute_batch`
+//!   over the same rows. This is the pure dispatch amortization.
 //! - `http_*` — end to end over real sockets: a saturation round of small
 //!   concurrent predict requests against a server with coalescing at its
-//!   default tuning vs. disabled (`window = 0`). On multi-core hosts the
-//!   merged batches additionally shard across the fan-out budget, which is
-//!   where the big multiplier lives.
+//!   default tuning vs. disabled (`window = 0`).
 //!
 //! Medians land in `BENCH_serve.json` (see the vendored criterion shim),
 //! so the trajectory is tracked across commits.
@@ -138,7 +135,7 @@ fn exec_boundary(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_coalesce");
     for (tag, model) in [("tree", &tree), ("mlp", &mlp)] {
         let artifact = artifact_for(model.clone(), &ds, &format!("x-{tag}"));
-        // Warm the EWMA so both paths run with adaptive shard sizing.
+        // Seed the EWMA and warm caches before timing.
         let flat: Vec<u32> = rows.iter().flatten().copied().collect();
         execute_predict(&state, &artifact, &flat, d);
         group.bench_function(format!("exec_solo_{tag}_{EXEC_REQUESTS}x1"), |b| {
@@ -219,7 +216,6 @@ fn http_saturation(c: &mut Criterion) {
         let (state, _) = AppState::warm_full(
             dir.clone(),
             WarmOptions {
-                executors: 2,
                 coalesce,
                 ..WarmOptions::default()
             },

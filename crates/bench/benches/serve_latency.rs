@@ -1,6 +1,6 @@
 //! Serving-layer microbenchmarks: the enum-dispatch predict hot path vs the
 //! boxed-trait-object path, batch throughput through `predict_batch`,
-//! saturation (large-batch scoped-thread fan-out vs single thread), the
+//! saturation (one ~20k-row batch on one thread), the
 //! reactor's idle-keep-alive headline (HTTP predict throughput with 0 vs
 //! 256 parked connections), raw label encoding, and artifact save/load
 //! costs.
@@ -65,12 +65,12 @@ fn predict_batch_throughput(c: &mut Criterion) {
     });
 }
 
-/// Saturation case: a predict batch large enough to shard across every
-/// core, single-threaded vs the scoped-thread fan-out `/v1/predict` uses.
+/// Saturation case: one ~20k-row predict batch on a single thread — the
+/// way `/v1/predict` runs it, on the executor that owns the request.
 fn predict_batch_saturation(c: &mut Criterion) {
     let (model, rows, d, _g) = trained_tree();
     // Tile the holdout rows up to ~20k rows — the "one huge client batch"
-    // shape the parallel path exists for.
+    // shape.
     let base_n = rows.len() / d;
     let reps = 20_000usize.div_ceil(base_n);
     let mut big = Vec::with_capacity(rows.len() * reps);
@@ -78,16 +78,10 @@ fn predict_batch_saturation(c: &mut Criterion) {
         big.extend_from_slice(&rows);
     }
     let n = big.len() / d;
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
 
     let mut group = c.benchmark_group(format!("serve_saturation/n{n}"));
     group.bench_function("single_thread", |b| {
         b.iter(|| black_box(model.predict_batch(black_box(&big), d)))
-    });
-    group.bench_function(format!("parallel_t{threads}"), |b| {
-        b.iter(|| black_box(model.predict_batch_parallel(black_box(&big), d, threads)))
     });
     group.finish();
 }

@@ -20,7 +20,7 @@ use crate::quant::{QuantEncoding, QuantModel};
 use crate::svm::SvmModel;
 use crate::tree::DecisionTree;
 
-/// Minimum rows per shard before [`AnyClassifier::predict_batch_parallel`]
+/// Default rows per shard before [`AnyClassifier::predict_segments_sharded`]
 /// spawns an extra thread. Below this, per-row prediction is so cheap that
 /// thread spawn/join overhead exceeds the parallel win.
 pub const MIN_ROWS_PER_SHARD: usize = 256;
@@ -183,41 +183,6 @@ impl AnyClassifier {
                 }
             }
         }
-    }
-
-    /// Batched prediction fanned out over up to `max_threads` scoped
-    /// threads with the default [`MIN_ROWS_PER_SHARD`] shard floor. See
-    /// [`AnyClassifier::predict_batch_sharded`] for the tunable variant.
-    pub fn predict_batch_parallel(&self, rows: &[u32], d: usize, max_threads: usize) -> Vec<bool> {
-        self.predict_batch_sharded(rows, d, max_threads, MIN_ROWS_PER_SHARD)
-    }
-
-    /// Batched prediction fanned out over up to `max_threads` scoped
-    /// threads, spawning one extra thread per `min_rows_per_shard` rows.
-    /// Shards are contiguous row ranges and results are concatenated in
-    /// shard order, so the output is bit-identical to
-    /// [`AnyClassifier::predict_batch`] *regardless of the shard size* —
-    /// parallelism is purely a wall-clock optimization. Batches smaller
-    /// than one shard floor per extra thread stay sequential (the spawn
-    /// overhead would dominate).
-    ///
-    /// The floor is a tuning knob: a serving layer that has *observed* this
-    /// model's per-row latency can pass a floor sized so each shard costs
-    /// roughly a fixed wall-clock budget (cheap models → bigger shards,
-    /// expensive ANN/SVM models → smaller ones), instead of the
-    /// one-size-fits-all default.
-    pub fn predict_batch_sharded(
-        &self,
-        rows: &[u32],
-        d: usize,
-        max_threads: usize,
-        min_rows_per_shard: usize,
-    ) -> Vec<bool> {
-        // One buffer is the single-segment case of the segment-merging
-        // fan-out — one sharding implementation, one set of invariants.
-        self.predict_segments_sharded(&[rows], d, max_threads, min_rows_per_shard)
-            .pop()
-            .expect("one segment in, one label vector out")
     }
 
     /// Batched prediction over **many row buffers at once** — the
@@ -629,47 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_parallel_bitmatches_sequential() {
-        use rand::{Rng, SeedableRng};
-        let data = ds();
-        let tree = DecisionTree::fit(
-            &data,
-            TreeParams::new(SplitCriterion::Gini)
-                .with_minsplit(2)
-                .with_cp(0.0),
-        )
-        .unwrap();
-        let any: AnyClassifier = tree.into();
-        // Large enough to shard several times over.
-        let d = data.n_features();
-        let n = MIN_ROWS_PER_SHARD * 5 + 17;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let rows: Vec<u32> = (0..n * d).map(|_| rng.gen_range(0..3)).collect();
-        let sequential = any.predict_batch(&rows, d);
-        for threads in [1, 2, 3, 8, 64] {
-            assert_eq!(
-                any.predict_batch_parallel(&rows, d, threads),
-                sequential,
-                "threads={threads}"
-            );
-        }
-        // Tiny batches stay on the sequential path (and still agree).
-        assert_eq!(
-            any.predict_batch_parallel(&rows[..d * 3], d, 8),
-            sequential[..3]
-        );
-        // Arbitrary shard floors (the adaptive-sizing knob) never change
-        // the output, only the fan-out.
-        for floor in [1, 32, 100, 1000, usize::MAX] {
-            assert_eq!(
-                any.predict_batch_sharded(&rows, d, 8, floor),
-                sequential,
-                "floor={floor}"
-            );
-        }
-    }
-
-    #[test]
     fn predict_segments_bitmatches_per_segment_predicts() {
         use rand::{Rng, SeedableRng};
         let data = ds();
@@ -700,6 +624,24 @@ mod tests {
                 );
             }
         }
+        // One buffer large enough to shard several times over: any thread
+        // count and any shard floor (tiny batches stay sequential) agree.
+        let n = MIN_ROWS_PER_SHARD * 5 + 17;
+        let rows: Vec<u32> = (0..n * d).map(|_| rng.gen_range(0..3)).collect();
+        let sequential = vec![any.predict_batch(&rows, d)];
+        for threads in [1, 2, 3, 8, 64] {
+            for floor in [1, 32, 100, MIN_ROWS_PER_SHARD, 1000, usize::MAX] {
+                assert_eq!(
+                    any.predict_segments_sharded(&[&rows], d, threads, floor),
+                    sequential,
+                    "one segment, threads={threads} floor={floor}"
+                );
+            }
+        }
+        assert_eq!(
+            any.predict_segments_sharded(&[&rows[..d * 3]], d, 8, MIN_ROWS_PER_SHARD),
+            vec![sequential[0][..3].to_vec()]
+        );
         // No segments at all is an empty answer, not a panic.
         assert!(any.predict_segments_sharded(&[], d, 4, 1).is_empty());
     }

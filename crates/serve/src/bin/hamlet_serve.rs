@@ -332,7 +332,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let (state, loaded) = AppState::warm_full(
         dir.clone(),
         hamlet_serve::server::WarmOptions {
-            executors: workers,
             load_mode,
             coalesce,
             guardrails,

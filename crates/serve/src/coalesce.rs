@@ -3,10 +3,9 @@
 //! Production traffic on `/v1/predict` is overwhelmingly *many tiny
 //! bodies* — one row from each of thousands of clients — not a few big
 //! batches. Served naively, every such request pays full dispatch (latency
-//! cell, fan-out budget, a solo `predict` call too small to shard), so the
-//! batch-parallel machinery sits idle exactly when load is highest. The
-//! coalescer fixes that by merging **concurrent in-flight requests that
-//! resolved the same artifact** into one sharded batch predict:
+//! cell, EWMA fold-back, per-model accounting) for a one-row `predict`
+//! call. The coalescer amortizes that by merging **concurrent in-flight
+//! requests that resolved the same artifact** into one batch predict:
 //!
 //! - The first request to find no open batch for its model becomes the
 //!   **leader**: it opens a batch with its rows and holds it open for a
@@ -17,9 +16,8 @@
 //!   their executor returns *immediately* to pull the next job — so the
 //!   merge width is bounded by the number of concurrent requests, not by
 //!   the executor count.
-//! - The leader then executes the whole batch as one
-//!   `predict_segments_sharded` fan-out and answers every participant.
-//!   Rows are never re-ordered across a request boundary and per-row
+//! - The leader then executes the whole batch sequentially on its own
+//!   executor thread and answers every participant. Rows are never re-ordered across a request boundary and per-row
 //!   prediction is stateless, so each response is **bit-identical** to the
 //!   uncoalesced execution.
 //!
@@ -27,8 +25,8 @@
 //! rather than fixed: there is no point holding a batch open longer than
 //! the work itself costs, so for a cheap model (a tree at tens of ns/row)
 //! the effective window collapses to roughly the cost of a full batch,
-//! while an expensive RBF-SVM — where merging pays for itself many times
-//! over in fan-out — gets the full configured window. The leader also
+//! while an expensive RBF-SVM — where one merged batch saves many
+//! dispatches — gets the full configured window. The leader also
 //! flushes early when the batch hits `max_rows` or when the executor
 //! queue drains (nobody left to wait for, observed via
 //! [`Responder::queue_depth`]) — which is what makes *sequential*
@@ -64,7 +62,7 @@ pub struct CoalesceConfig {
     /// Zero disables coalescing entirely (every request runs solo).
     pub window: Duration,
     /// A batch flushes as soon as it holds this many rows; requests at
-    /// least this large never coalesce (they shard fine on their own).
+    /// least this large never coalesce (they already amortize dispatch).
     pub max_rows: usize,
 }
 
@@ -516,7 +514,7 @@ mod tests {
             window: Duration::from_millis(50),
             max_rows: 4,
         });
-        // 4 rows ≥ max_rows: shards fine on its own, no merge.
+        // 4 rows ≥ max_rows: big enough on its own, no merge.
         let (p, _rx) = part(vec![0; 8], 8);
         assert!(matches!(
             on.submit(&artifact.key(), &artifact, 2, p, None),

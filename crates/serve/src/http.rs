@@ -33,7 +33,6 @@
 //!   and handler panics are confined to the request that caused them.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -87,10 +86,6 @@ pub struct ServerOptions {
     /// fails), its own epoll instance, and its own timer wheel. Default:
     /// `min(4, cores/4).max(1)`, overridable with `HAMLET_REACTORS`.
     pub reactors: usize,
-    /// Flush response segments with one `writev` of header+body iovecs
-    /// per syscall (default). Off, each segment takes its own `write` —
-    /// kept as a bench/debug comparison knob, byte-identical output.
-    pub vectored_writes: bool,
     /// Shared sink for per-reactor connection gauges and per-model fair
     /// queue depths; the server installs its reactors/dispatcher into it
     /// at bind, and telemetry exporters read it. `None` works fine — the
@@ -99,9 +94,9 @@ pub struct ServerOptions {
 }
 
 /// Default [`ServerOptions::reactors`]: scale with the machine but stay
-/// modest (executors and inference shards want cores too), overridable
-/// with the `HAMLET_REACTORS` environment variable (which is how CI runs
-/// the whole existing suite multi-reactor).
+/// modest (the executors want cores too), overridable with the
+/// `HAMLET_REACTORS` environment variable (which is how CI runs the whole
+/// existing suite multi-reactor).
 fn default_reactors() -> usize {
     if let Ok(v) = std::env::var("HAMLET_REACTORS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -149,7 +144,6 @@ impl Default for ServerOptions {
             queue_gauge: gauge_predicts,
             on_tick: None,
             reactors: default_reactors(),
-            vectored_writes: true,
             net_stats: None,
         }
     }
@@ -768,8 +762,7 @@ impl Server {
         let mut roles: Vec<AcceptRole> = Vec::with_capacity(n);
         let local;
         if n == 1 {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
+            let listener = crate::reactor::bind_listener(addr)?;
             local = listener.local_addr()?;
             roles.push(AcceptRole::Shard(listener));
         } else {
@@ -779,8 +772,7 @@ impl Server {
                     roles.extend(listeners.into_iter().map(AcceptRole::Shard));
                 }
                 Err(_) => {
-                    let listener = TcpListener::bind(addr)?;
-                    listener.set_nonblocking(true)?;
+                    let listener = crate::reactor::bind_listener(addr)?;
                     local = listener.local_addr()?;
                     let mut siblings = Vec::with_capacity(n - 1);
                     let mut members = Vec::with_capacity(n - 1);

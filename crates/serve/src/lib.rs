@@ -17,8 +17,8 @@
 //!   predict hot path never contends with writers; pinned versions and
 //!   mutations use the `RwLock` index;
 //! - [`coalesce`] — cross-request predict coalescing: concurrent small
-//!   `/v1/predict` requests against one model merge into a single sharded
-//!   fan-out at the executor boundary, with bit-identical responses;
+//!   `/v1/predict` requests against one model merge into a single batch
+//!   predict at the executor boundary, with bit-identical responses;
 //! - [`http`] — a hand-rolled, event-driven HTTP/1.1 server on `std::net`:
 //!   one [`reactor`] thread multiplexes every connection over raw `epoll`
 //!   (direct syscall FFI — no async runtime, no external crates), each

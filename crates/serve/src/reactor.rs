@@ -83,6 +83,12 @@ const SOL_SOCKET: c_int = 1;
 const SO_REUSEADDR: c_int = 2;
 const SO_REUSEPORT: c_int = 15;
 
+/// Accept-queue length every listening socket asks for. std's
+/// `TcpListener::bind` asks for 128, which a burst of concurrent connects
+/// overflows; each dropped SYN then waits out a 1 s retransmit. The
+/// kernel caps the value at `net.core.somaxconn`.
+const LISTEN_BACKLOG: c_int = 1024;
+
 /// Mirror of `struct iovec` for [`writev`].
 #[repr(C)]
 #[derive(Clone, Copy)]
@@ -122,6 +128,21 @@ extern "C" {
     fn bind(fd: c_int, addr: *const SockAddrIn, len: c_uint) -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
     fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_int, len: c_uint) -> c_int;
+}
+
+/// Binds one non-blocking listener without `SO_REUSEPORT` (so a port
+/// already in use still fails with `EADDRINUSE`) and with a
+/// [`LISTEN_BACKLOG`] accept queue: `listen` on an already-listening
+/// socket just resizes its queue.
+pub(crate) fn bind_listener(addr: &str) -> std::io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    // SAFETY: `listen` only reads the fd, which `listener` owns and keeps
+    // open for the duration of the call.
+    if unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) } < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    listener.set_nonblocking(true)?;
+    Ok(listener)
 }
 
 /// Bind `n` listening sockets to the same IPv4 address with
@@ -178,7 +199,9 @@ pub(crate) fn reuseport_listeners(addr: &str, n: usize) -> std::io::Result<Vec<T
         if unsafe { bind(fd, &sin, std::mem::size_of::<SockAddrIn>() as c_uint) } < 0 {
             return Err(std::io::Error::last_os_error());
         }
-        if unsafe { listen(fd, 1024) } < 0 {
+        // SAFETY: `fd` is the open socket `listener` owns; `listen` only
+        // reads it.
+        if unsafe { listen(fd, LISTEN_BACKLOG) } < 0 {
             return Err(std::io::Error::last_os_error());
         }
         if port == 0 {
@@ -747,6 +770,34 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn single_listener_queues_a_connect_burst_beyond_std_backlog() {
+        // A listener at std's backlog of 128 drops the SYNs past its queue,
+        // and each of those connects then times out here.
+        const BURST: usize = 200;
+        let somaxconn: usize = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(0);
+        if somaxconn < BURST {
+            eprintln!("skipped: net.core.somaxconn = {somaxconn} caps backlogs below {BURST}");
+            return;
+        }
+        let listener = bind_listener("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Nobody accepts: every connect must complete into the accept queue.
+        let held: Vec<TcpStream> = (0..BURST)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i} of {BURST}: {e}"))
+            })
+            .collect();
+        assert_eq!(held.len(), BURST);
+        // No SO_REUSEPORT: a second bind to the busy port still fails.
+        let err = bind_listener(&addr.to_string()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+    }
 
     #[test]
     fn epoll_roundtrip_on_a_real_socket_pair() {

@@ -28,16 +28,12 @@ pub struct AppState {
     pub registry: ModelRegistry,
     /// Directory artifacts are persisted into (and warm-loaded from).
     pub artifact_dir: PathBuf,
-    /// Shard cap for batch-parallel prediction (defaults to the machine's
-    /// available parallelism). One request never fans out wider than this.
-    pub predict_threads: usize,
-    /// Observed per-row predict latency per model (EWMA), feeding adaptive
-    /// shard sizing: each shard of a batch is cut to cost roughly
-    /// [`TARGET_SHARD_NANOS`] wall-clock instead of a fixed row count.
+    /// Observed per-row predict latency per model (EWMA). The coalescer
+    /// reads it to size each lane's batching window.
     pub latency: LatencyTracker,
     /// Cross-request predict coalescer: concurrent small `/v1/predict`
-    /// requests against the same resident model merge into one sharded
-    /// fan-out at the executor boundary (see [`crate::coalesce`]).
+    /// requests against the same resident model merge into one batch
+    /// predict at the executor boundary (see [`crate::coalesce`]).
     pub coalescer: Coalescer,
     /// The ops plane: per-model/per-endpoint latency histograms and
     /// counters, the audit-event trail, and the last-hit timestamps the
@@ -55,11 +51,6 @@ pub struct AppState {
     /// Fault-injection knobs, seeded from the environment once at warm
     /// boot so parallel tests never race on `set_var`.
     pub faults: Faults,
-    /// Machine-wide fan-out budget shared by every in-flight predict: the
-    /// sum of extra scoped threads across concurrent requests never exceeds
-    /// `predict_threads`, so N simultaneous large batches share the cores
-    /// instead of each spawning a full-width set on top of the worker pool.
-    shard_budget: ShardBudget,
     /// Admission gate for `/v1/train`: training runs for seconds to minutes
     /// on a worker thread, so at most one runs at a time — otherwise a
     /// handful of train requests would occupy every worker and starve the
@@ -68,20 +59,6 @@ pub struct AppState {
     /// release in [`TrainPermit`] runs during unwinding.
     train_gate: std::sync::atomic::AtomicBool,
 }
-
-/// Wall-clock budget per predict shard (250 µs). The adaptive shard size
-/// for a model is `TARGET_SHARD_NANOS / observed-ns-per-row`: cheap models
-/// (a tree at tens of ns/row) get huge shards so spawn overhead stays
-/// negligible, expensive ones (an RBF-SVM at tens of µs/row) get small
-/// shards so even mid-size batches use every core.
-pub const TARGET_SHARD_NANOS: f64 = 250_000.0;
-
-/// Clamp range for adaptive shard sizes: never shard finer than this many
-/// rows (spawn overhead dominates below it)...
-pub const MIN_ADAPTIVE_SHARD_ROWS: usize = 32;
-
-/// ...and never coarser than this (one shard must not starve the pool).
-pub const MAX_ADAPTIVE_SHARD_ROWS: usize = 65_536;
 
 /// EWMA smoothing factor for per-row latency observations.
 const LATENCY_EWMA_ALPHA: f64 = 0.2;
@@ -95,29 +72,28 @@ const LATENCY_CELLS_GC_THRESHOLD: usize = 256;
 ///
 /// Observations are recorded lock-free per model (an `AtomicU64` holding
 /// f64 bits, CAS-updated); the outer map takes a write lock only the first
-/// time a model is seen. The recorded value approximates *sequential*
-/// per-row cost: wall-clock × shards-used ÷ rows, so the estimate stays
-/// comparable whether a batch ran on one thread or sixteen.
+/// time a model is seen. Each executed batch folds in its wall-clock ÷
+/// rows; batches run sequentially on their executor, so that is the
+/// model's per-row cost.
 #[derive(Debug, Default)]
 pub struct LatencyTracker {
     cells: std::sync::RwLock<std::collections::HashMap<String, Arc<std::sync::atomic::AtomicU64>>>,
 }
 
-/// One model's latency cell, resolved once per request: reading the shard
-/// size and folding the observation back in are plain atomic ops on it —
+/// One model's latency cell, resolved once per request: reading the
+/// estimate and folding the observation back in are plain atomic ops on it —
 /// no further map lookups or lock acquisitions on the predict hot path.
 #[derive(Debug, Clone)]
 pub struct LatencyCell(Arc<std::sync::atomic::AtomicU64>);
 
 impl LatencyCell {
-    /// Current EWMA (estimated sequential ns/row), if any observation was
-    /// recorded.
+    /// Current EWMA (ns/row), if any observation was recorded.
     pub fn ns_per_row(&self) -> Option<f64> {
         let bits = self.0.load(std::sync::atomic::Ordering::Relaxed);
         (bits != 0).then(|| f64::from_bits(bits))
     }
 
-    /// Folds one observation (estimated sequential ns/row) into the EWMA.
+    /// Folds one observation (ns/row) into the EWMA.
     pub fn observe(&self, ns_per_row: f64) {
         use std::sync::atomic::Ordering;
         if !ns_per_row.is_finite() || ns_per_row <= 0.0 {
@@ -140,19 +116,6 @@ impl LatencyCell {
                 Ok(_) => return,
                 Err(now) => cur = now,
             }
-        }
-    }
-
-    /// Shard size (rows per extra thread) for this model: sized so one
-    /// shard costs ~[`TARGET_SHARD_NANOS`], clamped to
-    /// [[`MIN_ADAPTIVE_SHARD_ROWS`], [`MAX_ADAPTIVE_SHARD_ROWS`]]. Models
-    /// never observed yet use the library's fixed
-    /// [`hamlet_ml::any::MIN_ROWS_PER_SHARD`] floor.
-    pub fn shard_rows(&self) -> usize {
-        match self.ns_per_row() {
-            None => hamlet_ml::any::MIN_ROWS_PER_SHARD,
-            Some(ns) => ((TARGET_SHARD_NANOS / ns) as usize)
-                .clamp(MIN_ADAPTIVE_SHARD_ROWS, MAX_ADAPTIVE_SHARD_ROWS),
         }
     }
 }
@@ -186,86 +149,6 @@ impl LatencyTracker {
         let bits = cells.get(key)?.load(std::sync::atomic::Ordering::Relaxed);
         (bits != 0).then(|| f64::from_bits(bits))
     }
-
-    /// Convenience: [`LatencyCell::observe`] by key.
-    pub fn observe(&self, key: &str, ns_per_row: f64) {
-        self.cell(key).observe(ns_per_row);
-    }
-
-    /// Convenience: [`LatencyCell::shard_rows`] by key.
-    pub fn shard_rows(&self, key: &str) -> usize {
-        self.cell(key).shard_rows()
-    }
-}
-
-/// A machine-wide pool of predict fan-out slots. Requests reserve up to
-/// their per-request cap, run their shards, and return the slots on drop
-/// (including panics). When the pool is drained a request simply runs
-/// sequentially on its worker thread — prediction never blocks waiting for
-/// slots.
-struct ShardBudget {
-    available: std::sync::atomic::AtomicUsize,
-}
-
-impl ShardBudget {
-    fn new(total: usize) -> Self {
-        ShardBudget {
-            available: std::sync::atomic::AtomicUsize::new(total),
-        }
-    }
-
-    /// Reserves up to `want` slots (possibly zero when the pool is dry).
-    fn reserve(&self, want: usize) -> ShardPermit<'_> {
-        use std::sync::atomic::Ordering;
-        let mut cur = self.available.load(Ordering::Acquire);
-        loop {
-            let take = cur.min(want);
-            if take == 0 {
-                return ShardPermit {
-                    budget: self,
-                    reserved: 0,
-                };
-            }
-            match self.available.compare_exchange_weak(
-                cur,
-                cur - take,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    return ShardPermit {
-                        budget: self,
-                        reserved: take,
-                    }
-                }
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
-/// Reserved fan-out slots; returned to the pool on drop.
-struct ShardPermit<'a> {
-    budget: &'a ShardBudget,
-    reserved: usize,
-}
-
-impl ShardPermit<'_> {
-    /// Threads this request may use: its reserved slots, or one (the worker
-    /// thread itself, which is never part of the budget's accounting).
-    fn threads(&self) -> usize {
-        self.reserved.max(1)
-    }
-}
-
-impl Drop for ShardPermit<'_> {
-    fn drop(&mut self) {
-        if self.reserved > 0 {
-            self.budget
-                .available
-                .fetch_add(self.reserved, std::sync::atomic::Ordering::AcqRel);
-        }
-    }
 }
 
 /// RAII permit for the training gate; releases on drop (including panics).
@@ -287,11 +170,8 @@ impl Drop for TrainPermit<'_> {
 }
 
 /// Everything [`AppState::warm_full`] needs to build a serving state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WarmOptions {
-    /// Executor threads the attached server will run (0 = no server:
-    /// library/test use, budget every core for predict fan-out).
-    pub executors: usize,
     /// Artifact load mode (heap vs zero-copy mmap).
     pub load_mode: LoadMode,
     /// Cross-request predict coalescing tuning.
@@ -300,62 +180,14 @@ pub struct WarmOptions {
     pub guardrails: GuardrailConfig,
 }
 
-impl Default for WarmOptions {
-    fn default() -> Self {
-        WarmOptions {
-            executors: 0,
-            load_mode: LoadMode::Heap,
-            coalesce: CoalesceConfig::default(),
-            guardrails: GuardrailConfig::default(),
-        }
-    }
-}
-
 impl AppState {
     /// State with a warm-loaded registry.
     pub fn warm(artifact_dir: PathBuf) -> crate::error::Result<(Arc<AppState>, usize)> {
-        AppState::warm_sized(artifact_dir, 0)
+        AppState::warm_full(artifact_dir, WarmOptions::default())
     }
 
-    /// State with a warm-loaded registry, sized against an executor pool of
-    /// `executors` threads: the machine-wide predict fan-out budget is what
-    /// is left of the cores after the executors themselves (they each run a
-    /// request and count as one thread of predict work already), floored at
-    /// one extra slot so a lone large batch can always shard. Pass 0 when
-    /// no server is attached (library/test use) to budget every core.
-    pub fn warm_sized(
-        artifact_dir: PathBuf,
-        executors: usize,
-    ) -> crate::error::Result<(Arc<AppState>, usize)> {
-        AppState::warm_full(
-            artifact_dir,
-            WarmOptions {
-                executors,
-                ..WarmOptions::default()
-            },
-        )
-    }
-
-    /// [`AppState::warm_sized`] with an explicit artifact [`LoadMode`]
-    /// (`Mmap` = zero-copy weight borrows from format-v3 files, both at
-    /// warm-load and for lazy version promotions).
-    pub fn warm_opts(
-        artifact_dir: PathBuf,
-        executors: usize,
-        load_mode: LoadMode,
-    ) -> crate::error::Result<(Arc<AppState>, usize)> {
-        AppState::warm_full(
-            artifact_dir,
-            WarmOptions {
-                executors,
-                load_mode,
-                ..WarmOptions::default()
-            },
-        )
-    }
-
-    /// Fully configurable warm boot: registry load mode, executor sizing
-    /// and coalescer tuning in one place.
+    /// Fully configurable warm boot: registry load mode, coalescer tuning
+    /// and rollout guardrails in one place.
     pub fn warm_full(
         artifact_dir: PathBuf,
         opts: WarmOptions,
@@ -390,12 +222,6 @@ impl AppState {
                 hamlet_ml::kernels::backend().name()
             ),
         );
-        let cores = default_predict_threads();
-        let budget = if opts.executors == 0 {
-            cores
-        } else {
-            cores.saturating_sub(opts.executors).max(1)
-        };
         // The rollout journal replays before any traffic: a process that
         // died mid-rollout puts its candidate back on hold (warm-load just
         // made the highest on-disk version latest, which mid-canary is
@@ -406,26 +232,17 @@ impl AppState {
             Arc::new(AppState {
                 registry,
                 artifact_dir,
-                predict_threads: cores,
                 latency: LatencyTracker::new(),
                 coalescer: Coalescer::with_stats(opts.coalesce, telemetry.coalesce_stats()),
                 telemetry,
                 net: Arc::new(crate::http::NetStats::new()),
                 rollout,
                 faults: Faults::from_env(),
-                shard_budget: ShardBudget::new(budget),
                 train_gate: std::sync::atomic::AtomicBool::new(false),
             }),
             loaded,
         ))
     }
-}
-
-/// Default shard cap for batch-parallel prediction.
-pub fn default_predict_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
 }
 
 fn error_response(e: &ServeError) -> Response {
@@ -483,10 +300,10 @@ fn parse_predict(
     Ok((artifact, rows, d, pinned))
 }
 
-/// Executes one request's rows with adaptive shard sizing and the
-/// machine-wide fan-out budget, folding the latency observation back into
-/// the model's EWMA. The uncoalesced (solo) hot path; public so the bench
-/// suite can weigh it directly against [`execute_batch`].
+/// Executes one request's rows on the calling thread, folding the latency
+/// observation back into the model's EWMA. The uncoalesced (solo) hot
+/// path; public so the bench suite can weigh it directly against
+/// [`execute_batch`].
 pub fn execute_predict(
     state: &AppState,
     artifact: &ModelArtifact,
@@ -494,7 +311,10 @@ pub fn execute_predict(
     d: usize,
 ) -> Vec<bool> {
     let cell = state.latency.cell(&artifact.key());
-    execute_predict_cell(state, &cell, artifact, rows, d)
+    execute_segments(&cell, artifact, &[rows], d)
+        .labels
+        .pop()
+        .unwrap_or_default()
 }
 
 /// Per-segment results of one executed batch. Single-model artifacts fill
@@ -512,25 +332,19 @@ struct ExecOutcome {
     tier_hist: Option<[u64; hamlet_ml::cascade::MAX_TIERS]>,
 }
 
-/// The shared execution core: adaptive shard sizing, the machine-wide
-/// fan-out budget, and the EWMA fold-back, for any number of request
-/// segments against one artifact. Cascade artifacts route through the
-/// tiered executor — tier 0 scores the whole (possibly coalesced) batch
-/// through the same sharded kernels, then only low-confidence rows are
-/// re-packed contiguously for the next tier — and per-segment results are
+/// The shared execution core: runs any number of request segments against
+/// one artifact sequentially on the calling executor thread, then folds
+/// wall-clock ÷ rows into the model's EWMA. Cascade artifacts route
+/// through the tiered executor — tier 0 scores the whole (possibly
+/// coalesced) batch, then only low-confidence rows are re-packed
+/// contiguously for the next tier — and per-segment results are
 /// bit-identical to solo per-row execution either way.
-fn execute_segments_cell(
-    state: &AppState,
+fn execute_segments(
     cell: &LatencyCell,
     artifact: &ModelArtifact,
     segments: &[&[u32]],
     d: usize,
 ) -> ExecOutcome {
-    // Shard size comes from this model's observed per-row latency (EWMA),
-    // so a shard costs ~TARGET_SHARD_NANOS wall-clock: the fixed 256-row
-    // floor over-sharded cheap trees and under-sharded expensive SVMs.
-    // Reading and updating the resolved cell are plain atomics.
-    let shard_rows = cell.shard_rows();
     let n: usize = segments.iter().map(|s| s.len() / d).sum();
     if n == 0 {
         return ExecOutcome {
@@ -540,21 +354,11 @@ fn execute_segments_cell(
             tier_hist: None,
         };
     }
-    // Reserve fan-out slots from the machine-wide budget: under concurrent
-    // load each request gets a fair share of the cores (or runs
-    // sequentially on its own worker when the pool is dry) instead of
-    // every request spawning a full-width set of threads. Only as many
-    // slots as this batch can actually shard into are requested — a small
-    // batch runs sequentially anyway and must not starve a concurrent
-    // large one.
-    let usable = n / shard_rows.max(1);
-    let permit = state
-        .shard_budget
-        .reserve(usable.min(state.predict_threads));
     let predict_start = Instant::now();
     let outcome = match &artifact.model {
         hamlet_ml::any::AnyClassifier::Cascade(c) => {
-            let pred = c.predict_segments_tiered(segments, d, permit.threads(), shard_rows);
+            let pred =
+                c.predict_segments_tiered(segments, d, 1, hamlet_ml::any::MIN_ROWS_PER_SHARD);
             let hist = pred.tier_histogram();
             // The tiered result is flat in global row order; cut it back
             // at the segment boundaries.
@@ -577,41 +381,23 @@ fn execute_segments_cell(
             }
         }
         model => ExecOutcome {
-            labels: model.predict_segments_sharded(segments, d, permit.threads(), shard_rows),
+            labels: segments
+                .iter()
+                .map(|seg| model.predict_batch(seg, d))
+                .collect(),
             tiers: None,
             confidence: None,
             tier_hist: None,
         },
     };
-    // Fold the observation back in as an estimated *sequential* per-row
-    // cost (wall-clock × shards actually used ÷ rows), so the EWMA is
-    // comparable across fan-out widths.
-    let shards_used = (n / shard_rows.max(1)).clamp(1, permit.threads());
-    drop(permit);
-    cell.observe(predict_start.elapsed().as_nanos() as f64 * shards_used as f64 / n as f64);
+    cell.observe(predict_start.elapsed().as_nanos() as f64 / n as f64);
     outcome
 }
 
-/// [`execute_predict`] with the model's [`LatencyCell`] already resolved —
-/// the handler resolves key and cell exactly once per request and passes
-/// them down, so the hot path pays the map probe a single time.
-fn execute_predict_cell(
-    state: &AppState,
-    cell: &LatencyCell,
-    artifact: &ModelArtifact,
-    rows: &[u32],
-    d: usize,
-) -> Vec<bool> {
-    execute_segments_cell(state, cell, artifact, &[rows], d)
-        .labels
-        .pop()
-        .unwrap_or_default()
-}
-
 /// Executes a merged batch — many requests' row buffers against one model
-/// — as a single sharded fan-out, paying the latency cell, fan-out budget
-/// and EWMA bookkeeping **once for the whole batch** instead of once per
-/// request. Per-segment results are bit-identical to solo execution.
+/// — as one sequential batch predict, paying the latency cell and EWMA
+/// bookkeeping **once for the whole batch** instead of once per request.
+/// Per-segment results are bit-identical to solo execution.
 pub fn execute_batch(
     state: &AppState,
     artifact: &ModelArtifact,
@@ -619,18 +405,7 @@ pub fn execute_batch(
     d: usize,
 ) -> Vec<Vec<bool>> {
     let cell = state.latency.cell(&artifact.key());
-    execute_batch_cell(state, &cell, artifact, segments, d)
-}
-
-/// [`execute_batch`] with the model's [`LatencyCell`] already resolved.
-fn execute_batch_cell(
-    state: &AppState,
-    cell: &LatencyCell,
-    artifact: &ModelArtifact,
-    segments: &[&[u32]],
-    d: usize,
-) -> Vec<Vec<bool>> {
-    execute_segments_cell(state, cell, artifact, segments, d).labels
+    execute_segments(&cell, artifact, segments, d).labels
 }
 
 /// Runs a flushed coalescer batch and answers every participant — the one
@@ -656,7 +431,7 @@ fn run_batch(
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         state.faults.maybe_panic(&key);
         let segments: Vec<&[u32]> = batch.parts.iter().map(|p| p.rows.as_slice()).collect();
-        execute_segments_cell(state, cell, &batch.artifact, &segments, d)
+        execute_segments(cell, &batch.artifact, &segments, d)
     }));
     let mut out = match out {
         Ok(out) => out,
@@ -823,8 +598,8 @@ fn unzip_parts<T>(parts: Option<Vec<Vec<T>>>, n: usize) -> Vec<Option<Vec<T>>> {
     }
 }
 
-/// `POST /v1/predict`: resolve → validate/encode → coalesce → batch-
-/// parallel enum-dispatch predict.
+/// `POST /v1/predict`: resolve → validate/encode → coalesce → enum-
+/// dispatch batch predict.
 ///
 /// Two input shapes: `rows` (pre-encoded codes, validated per row with the
 /// offending row index and feature name on failure) and `rows_raw` (raw
@@ -836,11 +611,11 @@ fn unzip_parts<T>(parts: Option<Vec<Vec<T>>>, n: usize) -> Vec<Option<Vec<T>>> {
 /// and pass a total-length check with misaligned codes.
 ///
 /// Execution is then routed through the [`Coalescer`]: small requests
-/// merge with concurrent requests for the same model into one sharded
-/// fan-out (responses bit-identical to solo execution); large or lone
-/// requests run solo, sharded across scoped threads
-/// (`AnyClassifier::predict_batch_sharded`) so a 10k-row batch uses every
-/// core instead of one worker thread.
+/// merge with concurrent requests for the same model into one batch
+/// (responses bit-identical to solo execution); large or lone requests run
+/// solo. Either way the batch runs sequentially on the executor that owns
+/// it — concurrency comes from the executor pool, not from per-request
+/// threads.
 fn predict(state: &AppState, req: &Request, responder: Responder) {
     let start = Instant::now();
     let (mut artifact, rows, d, pinned) = match parse_predict(state, req) {
@@ -868,7 +643,7 @@ fn predict(state: &AppState, req: &Request, responder: Responder) {
         }
     }
     // Resolve the model's identity, latency cell and telemetry cell
-    // exactly once; every downstream step (coalescer lane, shard sizing,
+    // exactly once; every downstream step (coalescer lane and window,
     // EWMA fold-back, response body, per-model accounting) reuses them.
     let key = artifact.key();
     let cell = state.latency.cell(&key);
@@ -1206,14 +981,12 @@ mod tests {
         Arc::new(AppState {
             registry: ModelRegistry::new(),
             artifact_dir: std::env::temp_dir().join("hamlet-serve-router-tests"),
-            predict_threads: 2,
             latency: LatencyTracker::new(),
             coalescer: Coalescer::with_stats(coalesce, telemetry.coalesce_stats()),
             telemetry,
             net: Arc::new(crate::http::NetStats::new()),
             rollout: Arc::new(RolloutPlane::in_memory(GuardrailConfig::default())),
             faults: Faults::default(),
-            shard_budget: ShardBudget::new(2),
             train_gate: std::sync::atomic::AtomicBool::new(false),
         })
     }
@@ -1514,52 +1287,32 @@ mod tests {
     }
 
     #[test]
-    fn shard_budget_splits_fairly_and_releases_on_drop() {
-        let budget = ShardBudget::new(4);
-        let a = budget.reserve(3);
-        assert_eq!(a.threads(), 3);
-        let b = budget.reserve(3);
-        assert_eq!(b.threads(), 1, "only one slot left");
-        let c = budget.reserve(3);
-        assert_eq!(c.threads(), 1, "dry pool still grants the worker thread");
-        assert_eq!(c.reserved, 0);
-        drop(a);
-        let d = budget.reserve(4);
-        assert_eq!(d.threads(), 3, "dropped permits return to the pool");
-        drop(b);
-        drop(c);
-        drop(d);
-        assert_eq!(
-            budget.reserve(usize::MAX).threads(),
-            4,
-            "everything released"
-        );
-    }
-
-    #[test]
-    fn latency_tracker_adapts_shard_size() {
+    fn latency_cell_keeps_a_per_model_ewma() {
         let t = LatencyTracker::new();
-        // Unobserved models use the library's fixed floor.
-        assert_eq!(t.shard_rows("fresh@1"), hamlet_ml::any::MIN_ROWS_PER_SHARD);
-        // A cheap model (100 ns/row) gets coarse shards near the target
-        // budget; an expensive one (50 µs/row) gets the minimum.
-        t.observe("tree@1", 100.0);
-        assert_eq!(t.shard_rows("tree@1"), 2500);
-        t.observe("svm@1", 50_000.0);
-        assert_eq!(t.shard_rows("svm@1"), MIN_ADAPTIVE_SHARD_ROWS);
-        // Extremes clamp rather than explode.
-        t.observe("instant@1", 1e-3);
-        assert_eq!(t.shard_rows("instant@1"), MAX_ADAPTIVE_SHARD_ROWS);
-        // The EWMA tracks drift: after many fast observations a formerly
-        // slow model's shards grow.
+        assert!(t.ns_per_row("fresh@1").is_none());
+        // The first observation seeds the EWMA; later ones blend in.
+        let svm = t.cell("svm@1");
+        svm.observe(50_000.0);
+        assert_eq!(t.ns_per_row("svm@1"), Some(50_000.0));
+        svm.observe(1_000.0);
+        assert_eq!(
+            t.ns_per_row("svm@1"),
+            Some(LATENCY_EWMA_ALPHA * 1_000.0 + (1.0 - LATENCY_EWMA_ALPHA) * 50_000.0)
+        );
+        // The EWMA tracks drift: many fast observations pull it down.
         for _ in 0..200 {
-            t.observe("svm@1", 1_000.0);
+            svm.observe(1_000.0);
         }
-        assert!(t.shard_rows("svm@1") > 200, "{}", t.shard_rows("svm@1"));
+        assert!(t.ns_per_row("svm@1").unwrap() < 1_100.0);
+        // Models are independent.
+        t.cell("tree@1").observe(100.0);
+        assert_eq!(t.ns_per_row("tree@1"), Some(100.0));
         // Garbage observations are ignored.
-        t.observe("svm@1", f64::NAN);
-        t.observe("svm@1", -5.0);
-        assert!(t.ns_per_row("svm@1").unwrap().is_finite());
+        let before = t.ns_per_row("svm@1");
+        svm.observe(f64::NAN);
+        svm.observe(-5.0);
+        svm.observe(0.0);
+        assert_eq!(t.ns_per_row("svm@1"), before);
     }
 
     #[test]
@@ -1807,7 +1560,6 @@ mod tests {
         let app = Arc::new(AppState {
             registry: ModelRegistry::new(),
             artifact_dir: std::env::temp_dir().join("hamlet-srv-panic"),
-            predict_threads: 2,
             latency: LatencyTracker::new(),
             coalescer: Coalescer::with_stats(CoalesceConfig::default(), telemetry.coalesce_stats()),
             telemetry,
@@ -1819,7 +1571,6 @@ mod tests {
                 predict_panic: Some("boom@1".into()),
                 flip_labels: None,
             },
-            shard_budget: ShardBudget::new(2),
             train_gate: std::sync::atomic::AtomicBool::new(false),
         });
         app.registry

@@ -287,8 +287,8 @@ fn explain_tiers_flag_rides_the_query_string() {
 
 #[test]
 fn cascade_partition_is_deterministic_across_thread_counts() {
-    // The serving path shards tier scoring; determinism across fan-out
-    // widths is what makes coalesced answers bit-identical to solo ones.
+    // The tiered executor can shard tier scoring; its tier partition must
+    // not depend on the fan-out width or the shard floor.
     let ds = dataset();
     let AnyClassifier::Cascade(c) = cascade(&ds, None) else {
         unreachable!()

@@ -149,7 +149,6 @@ fn empty_state(coalesce: CoalesceConfig) -> Arc<AppState> {
     let (state, loaded) = AppState::warm_full(
         tmp_dir("none"), // never created: empty registry
         WarmOptions {
-            executors: 0,
             coalesce,
             ..WarmOptions::default()
         },
@@ -349,7 +348,6 @@ fn window_timeout_flush_under_a_one_executor_server() {
     let (state, _) = AppState::warm_full(
         dir.clone(),
         WarmOptions {
-            executors: 1,
             coalesce: CoalesceConfig {
                 window: Duration::from_millis(60),
                 max_rows: 512,
@@ -479,14 +477,7 @@ fn e2e_concurrent_small_predicts_with_default_coalescing() {
     .unwrap()
     .into();
     artifact_for(model.clone(), &ds, "e2e").save(&dir).unwrap();
-    let (state, _) = AppState::warm_full(
-        dir.clone(),
-        WarmOptions {
-            executors: 2,
-            ..WarmOptions::default()
-        },
-    )
-    .unwrap();
+    let (state, _) = AppState::warm(dir.clone()).unwrap();
     let server = hamlet_serve::server::serve_with(
         "127.0.0.1:0",
         hamlet_serve::http::ServerOptions {

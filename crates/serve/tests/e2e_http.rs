@@ -424,8 +424,8 @@ fn concurrent_batched_predictions_are_consistent() {
         assert_eq!(r.labels, first.labels);
     }
 
-    // A batch large enough to shard across the scoped-thread fan-out must
-    // still bit-match the in-process sequential predict.
+    // A large batch runs sequentially on the executor that owns it and
+    // must bit-match the in-process predict.
     let n_large = 4096;
     let rows: Vec<Vec<u32>> = (0..n_large)
         .map(|i| {
@@ -448,10 +448,10 @@ fn concurrent_batched_predictions_are_consistent() {
         .unwrap(),
     );
     assert_eq!(status, 200);
-    let parallel: PredictResponse = serde_json::from_str(&body).unwrap();
+    let large: PredictResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(
-        parallel.labels, expected,
-        "batch-parallel fan-out must be bit-identical to sequential"
+        large.labels, expected,
+        "a 4096-row served predict must be bit-identical to predict_batch"
     );
 
     server.shutdown();

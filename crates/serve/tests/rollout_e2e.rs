@@ -158,7 +158,6 @@ fn lifecycle_shadow_canary_auto_promote() {
     let (state, loaded) = AppState::warm_full(
         dir.clone(),
         WarmOptions {
-            executors: 2,
             guardrails: test_guardrails(),
             ..WarmOptions::default()
         },
@@ -322,7 +321,6 @@ fn degraded_candidate_auto_rolls_back() {
     let (state, _) = AppState::warm_full(
         dir.clone(),
         WarmOptions {
-            executors: 2,
             guardrails: test_guardrails(),
             ..WarmOptions::default()
         },
@@ -428,7 +426,6 @@ fn journal_resumes_rollout_across_restart() {
         AppState::warm_full(
             dir.clone(),
             WarmOptions {
-                executors: 2,
                 guardrails: test_guardrails(),
                 ..WarmOptions::default()
             },
