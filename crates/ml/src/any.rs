@@ -624,26 +624,44 @@ mod tests {
                 );
             }
         }
-        // One buffer large enough to shard several times over: any thread
-        // count and any shard floor (tiny batches stay sequential) agree.
+        // No segments at all is an empty answer, not a panic.
+        assert!(any.predict_segments_sharded(&[], d, 4, 1).is_empty());
+    }
+
+    #[test]
+    fn predict_batch_parallel_bitmatches_sequential() {
+        use rand::{Rng, SeedableRng};
+        let data = ds();
+        let tree = DecisionTree::fit(
+            &data,
+            TreeParams::new(SplitCriterion::Gini)
+                .with_minsplit(2)
+                .with_cp(0.0),
+        )
+        .unwrap();
+        let any: AnyClassifier = tree.into();
+        // One buffer large enough to shard several times over.
+        let d = data.n_features();
         let n = MIN_ROWS_PER_SHARD * 5 + 17;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let rows: Vec<u32> = (0..n * d).map(|_| rng.gen_range(0..3)).collect();
         let sequential = vec![any.predict_batch(&rows, d)];
+        // Any thread count and any shard floor change only the fan-out,
+        // never the output.
         for threads in [1, 2, 3, 8, 64] {
             for floor in [1, 32, 100, MIN_ROWS_PER_SHARD, 1000, usize::MAX] {
                 assert_eq!(
                     any.predict_segments_sharded(&[&rows], d, threads, floor),
                     sequential,
-                    "one segment, threads={threads} floor={floor}"
+                    "threads={threads} floor={floor}"
                 );
             }
         }
+        // Tiny batches stay on the sequential path (and still agree).
         assert_eq!(
             any.predict_segments_sharded(&[&rows[..d * 3]], d, 8, MIN_ROWS_PER_SHARD),
             vec![sequential[0][..3].to_vec()]
         );
-        // No segments at all is an empty answer, not a panic.
-        assert!(any.predict_segments_sharded(&[], d, 4, 1).is_empty());
     }
 
     #[test]
