@@ -113,18 +113,17 @@ pub(crate) enum Verdict {
 enum ParseError {
     TooLarge(&'static str),
     Malformed(&'static str),
+    NotImplemented(&'static str),
 }
 
 impl ParseError {
     fn response(&self) -> Response {
-        match self {
-            ParseError::TooLarge(what) => {
-                Response::json(413, format!("{{\"error\":\"{what}\"}}").into_bytes())
-            }
-            ParseError::Malformed(what) => {
-                Response::json(400, format!("{{\"error\":\"{what}\"}}").into_bytes())
-            }
-        }
+        let (status, what) = match self {
+            ParseError::TooLarge(what) => (413, what),
+            ParseError::Malformed(what) => (400, what),
+            ParseError::NotImplemented(what) => (501, what),
+        };
+        Response::json(status, format!("{{\"error\":\"{what}\"}}").into_bytes())
     }
 }
 
@@ -452,28 +451,38 @@ impl Conn {
             .next()
             .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.1"));
 
-        let mut content_length: u64 = 0;
+        let mut content_length: Option<u64> = None;
         let mut connection: Option<bool> = None;
         for header in lines {
-            let Ok(text) = std::str::from_utf8(header) else {
-                continue; // tolerate non-UTF-8 headers we don't care about
+            let Some(colon) = header.iter().position(|&b| b == b':') else {
+                continue;
             };
-            if let Some((name, value)) = text.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| ParseError::Malformed("bad content-length"))?;
-                } else if name.eq_ignore_ascii_case("connection") {
-                    let value = value.trim();
-                    if value.eq_ignore_ascii_case("close") {
-                        connection = Some(false);
-                    } else if value.eq_ignore_ascii_case("keep-alive") {
-                        connection = Some(true);
-                    }
+            let (name, value) = (&header[..colon], header[colon + 1..].trim_ascii());
+            if name.eq_ignore_ascii_case(b"transfer-encoding") {
+                // Bodies are framed by Content-Length only. Reading a
+                // chunked body as empty would parse its chunks as the next
+                // pipelined request (RFC 7230 §3.3.1: answer 501).
+                return Err(ParseError::NotImplemented(
+                    "transfer-encoding is not supported",
+                ));
+            } else if name.eq_ignore_ascii_case(b"content-length") {
+                let len = std::str::from_utf8(value)
+                    .ok()
+                    .and_then(|v| v.parse().ok())
+                    .ok_or(ParseError::Malformed("bad content-length"))?;
+                if content_length.is_some_and(|prev| prev != len) {
+                    return Err(ParseError::Malformed("conflicting content-length"));
+                }
+                content_length = Some(len);
+            } else if name.eq_ignore_ascii_case(b"connection") {
+                if value.eq_ignore_ascii_case(b"close") {
+                    connection = Some(false);
+                } else if value.eq_ignore_ascii_case(b"keep-alive") {
+                    connection = Some(true);
                 }
             }
         }
+        let content_length = content_length.unwrap_or(0);
         if content_length > crate::http::MAX_BODY_BYTES {
             return Err(ParseError::TooLarge("body exceeds 16 MiB"));
         }
@@ -868,6 +877,55 @@ mod tests {
         assert!(c2.has_unwritten(), "413 queued");
         let buf = String::from_utf8_lossy(&c2.queued_bytes()).into_owned();
         assert!(buf.starts_with("HTTP/1.1 413"), "{buf}");
+    }
+
+    #[test]
+    fn chunked_request_gets_one_501_then_eof() {
+        let (mut client, server) = pair();
+        let mut c = conn(server);
+        drive(
+            &mut c,
+            &mut client,
+            b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        );
+        let now = Instant::now();
+        assert!(c.next_job(now).is_none(), "nothing dispatched");
+        assert_eq!(c.on_writable(now), Verdict::Close);
+        drop(c);
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut got = Vec::new();
+        client.read_to_end(&mut got).unwrap();
+        let text = String::from_utf8_lossy(&got);
+        assert!(text.starts_with("HTTP/1.1 501 Not Implemented"), "{text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_a_400() {
+        let (mut client, server) = pair();
+        let mut c = conn(server);
+        drive(
+            &mut c,
+            &mut client,
+            b"POST /p HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!",
+        );
+        assert!(c.next_job(Instant::now()).is_none(), "nothing dispatched");
+        let buf = String::from_utf8_lossy(&c.queued_bytes()).into_owned();
+        assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+        assert!(buf.contains("conflicting content-length"), "{buf}");
+        assert!(c.close_after_flush);
+
+        // Repeating one value is not a conflict.
+        let (mut client2, server2) = pair();
+        let mut c2 = conn(server2);
+        drive(
+            &mut c2,
+            &mut client2,
+            b"POST /p HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello",
+        );
+        assert_eq!(c2.next_job(Instant::now()).unwrap().body, b"hello");
     }
 
     #[test]

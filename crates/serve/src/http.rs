@@ -28,9 +28,11 @@
 //! - Slow or dead peers are reaped by a coarse deadline wheel with
 //!   state-dependent timeouts (idle vs. mid-request vs. mid-write);
 //!   handlers themselves are never timed out (training runs for minutes).
-//! - Malformed requests get a 400 and close the connection, oversized
-//!   bodies a 413, connections over [`ServerOptions::max_conns`] a 503,
-//!   and handler panics are confined to the request that caused them.
+//! - Malformed requests (conflicting `Content-Length` values included) get
+//!   a 400 and close the connection, oversized bodies a 413, any
+//!   `Transfer-Encoding` a 501, connections over
+//!   [`ServerOptions::max_conns`] a 503, and handler panics are confined
+//!   to the request that caused them.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -68,23 +70,16 @@ pub struct ServerOptions {
     pub idle_timeout: Duration,
     /// Requests served over one keep-alive connection before close.
     pub max_keepalive_requests: usize,
-    /// Which dispatched requests the queue-depth gauge counts (what
-    /// [`Responder::queue_depth`] reports). The gauge exists for the
-    /// predict coalescer's "are merge partners pending?" question, so the
-    /// default counts only `POST /v1/predict` — counting every endpoint
-    /// would let an unrelated parked job (a `/v1/train` runs for minutes)
-    /// impersonate a merge partner for its whole duration.
-    pub queue_gauge: fn(&Request) -> bool,
     /// Optional periodic application callback driven by the reactor's
     /// timer wheel (the auto-demoter rides this). Runs on reactor 0's
     /// thread, so it must be brief and non-blocking; cadence is quantized
     /// to the wheel's slot width (~half a second).
     pub on_tick: Option<AppTick>,
-    /// Reactor (event-loop) threads sharing the accept load. With more
-    /// than one, each reactor gets its own `SO_REUSEPORT` listening socket
-    /// (falling back to an accept-and-deal topology where that bind
-    /// fails), its own epoll instance, and its own timer wheel. Default:
-    /// `min(4, cores/4).max(1)`, overridable with `HAMLET_REACTORS`.
+    /// Reactor (event-loop) threads sharing the accept load. Each reactor
+    /// gets its own listening socket (bound with `SO_REUSEPORT` when there
+    /// is more than one, for IPv4 and IPv6 alike), its own epoll instance,
+    /// and its own timer wheel. Default: `min(4, cores/4).max(1)`,
+    /// overridable with `HAMLET_REACTORS`.
     pub reactors: usize,
     /// Shared sink for per-reactor connection gauges and per-model fair
     /// queue depths; the server installs its reactors/dispatcher into it
@@ -126,8 +121,13 @@ impl std::fmt::Debug for AppTick {
     }
 }
 
-/// Default [`ServerOptions::queue_gauge`]: coalescable predict requests.
-fn gauge_predicts(request: &Request) -> bool {
+/// Which dispatched requests the queue-depth gauge counts (what
+/// [`Responder::queue_depth`] reports): coalescable predict requests. The
+/// gauge exists for the predict coalescer's "are merge partners pending?"
+/// question — counting every endpoint would let an unrelated parked job
+/// (a `/v1/train` runs for minutes) impersonate a merge partner for its
+/// whole duration.
+pub(crate) fn gauge_predicts(request: &Request) -> bool {
     request.method == "POST" && request.path == "/v1/predict"
 }
 
@@ -141,7 +141,6 @@ impl Default for ServerOptions {
             request_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             max_keepalive_requests: MAX_KEEPALIVE_REQUESTS,
-            queue_gauge: gauge_predicts,
             on_tick: None,
             reactors: default_reactors(),
             net_stats: None,
@@ -220,6 +219,7 @@ impl Response {
             422 => "Unprocessable Entity",
             429 => "Too Many Requests",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -326,10 +326,9 @@ enum ResponseSink {
 /// 500 (this is what turns a handler panic mid-defer into an error
 /// response instead of a hung connection). The responder also exposes the
 /// server's **executor queue depth** — how many gauge-eligible requests
-/// (by default `POST /v1/predict`, see [`ServerOptions::queue_gauge`]) are
-/// currently queued for or running on the executor pool — which is what
-/// lets the predict coalescer wait for merge partners only when some are
-/// actually in flight.
+/// (`POST /v1/predict`) are currently queued for or running on the
+/// executor pool — which is what lets the predict coalescer wait for merge
+/// partners only when some are actually in flight.
 pub struct Responder {
     sink: Option<ResponseSink>,
     depth: Arc<AtomicUsize>,
@@ -433,7 +432,7 @@ pub(crate) struct Job {
     pub token: u64,
     pub request: Request,
     /// Whether this job was counted into the queue-depth gauge (see
-    /// [`ServerOptions::queue_gauge`]); the executor decrements iff set.
+    /// [`gauge_predicts`]); the executor decrements iff set.
     pub counted: bool,
 }
 
@@ -747,45 +746,16 @@ impl Server {
     /// Binds `addr` and starts the reactor fleet + executor pool with
     /// explicit [`ServerOptions`].
     pub fn bind_with(addr: &str, handler: Handler, opts: ServerOptions) -> std::io::Result<Server> {
-        use crate::reactor::{AcceptRole, ReactorConfig, Waker};
+        use crate::reactor::{ReactorConfig, Waker};
         let n = opts.reactors.max(1);
+        let listeners = crate::reactor::bind_listeners(addr, n)?;
+        let local = listeners[0].local_addr()?;
         let opts = Arc::new(opts);
         let shutdown = Arc::new(AtomicBool::new(false));
         let stopped = Arc::new((Mutex::new(false), Condvar::new()));
         let wakers: Vec<Arc<Waker>> = (0..n)
             .map(|_| Waker::new().map(Arc::new))
             .collect::<std::io::Result<_>>()?;
-
-        // Listening topology: single listener when single-reactor; one
-        // SO_REUSEPORT shard per reactor otherwise, falling back to
-        // accept-and-deal (reactor 0 owns the listener) if that bind fails.
-        let mut roles: Vec<AcceptRole> = Vec::with_capacity(n);
-        let local;
-        if n == 1 {
-            let listener = crate::reactor::bind_listener(addr)?;
-            local = listener.local_addr()?;
-            roles.push(AcceptRole::Shard(listener));
-        } else {
-            match crate::reactor::reuseport_listeners(addr, n) {
-                Ok(listeners) => {
-                    local = listeners[0].local_addr()?;
-                    roles.extend(listeners.into_iter().map(AcceptRole::Shard));
-                }
-                Err(_) => {
-                    let listener = crate::reactor::bind_listener(addr)?;
-                    local = listener.local_addr()?;
-                    let mut siblings = Vec::with_capacity(n - 1);
-                    let mut members = Vec::with_capacity(n - 1);
-                    for waker in wakers.iter().skip(1) {
-                        let (tx, rx) = std::sync::mpsc::channel();
-                        siblings.push((tx, Arc::clone(waker)));
-                        members.push(AcceptRole::Member(rx));
-                    }
-                    roles.push(AcceptRole::Owner { listener, siblings });
-                    roles.extend(members);
-                }
-            }
-        }
 
         let dispatcher = Arc::new(Dispatcher::new(n));
         let stats: Vec<Arc<ReactorStats>> =
@@ -824,14 +794,14 @@ impl Server {
             })
             .collect();
 
-        let reactors = roles
+        let reactors = listeners
             .into_iter()
             .zip(completion_rxs)
             .enumerate()
-            .map(|(index, (role, completions))| {
+            .map(|(index, (listener, completions))| {
                 let cfg = ReactorConfig {
                     index,
-                    role,
+                    listener,
                     dispatcher: Arc::clone(&dispatcher),
                     completions,
                     waker: Arc::clone(&wakers[index]),

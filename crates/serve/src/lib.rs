@@ -73,6 +73,8 @@
 //! [`ModelArtifact`]: artifact::ModelArtifact
 //! [`ModelRegistry`]: registry::ModelRegistry
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod api;
 pub mod artifact;
 pub mod coalesce;

@@ -24,14 +24,11 @@
 //!   finished responses for write-readiness-driven flushing, and reap
 //!   expired connections.
 //!
-//! **Sharded accept.** With `--reactors N > 1` each reactor gets its own
-//! listening socket bound with `SO_REUSEPORT`, so the kernel load-balances
-//! accepts across reactors with zero cross-thread coordination
-//! ([`AcceptRole::Shard`]). Where that bind fails (non-Linux-y kernels,
-//! IPv6 targets), reactor 0 falls back to owning the single listener and
-//! dealing accepted streams round-robin to its siblings over per-reactor
-//! channels, waking each over its eventfd ([`AcceptRole::Owner`] /
-//! [`AcceptRole::Member`]).
+//! **Sharded accept.** Every listening socket comes from
+//! [`bind_listeners`]: one per reactor, IPv4 or IPv6. With `--reactors
+//! N > 1` they are bound with `SO_REUSEPORT`, so the kernel load-balances
+//! accepts across reactors with zero cross-thread coordination; a single
+//! reactor binds without it, so a busy port still fails with `EADDRINUSE`.
 //!
 //! **`EPOLLONESHOT` everywhere.** Every connection fd is registered
 //! one-shot: the kernel disarms it on delivery, and the owning reactor
@@ -39,7 +36,7 @@
 //! completes. That makes each readiness cycle race-free by construction —
 //! no second event can arrive while one is being processed — which is what
 //! keeps connection state transitions safe no matter which path (I/O
-//! event, executor completion, handoff adoption) touched the `Conn` last.
+//! event or executor completion) touched the `Conn` last.
 //!
 //! A reactor thread never runs a handler and never blocks on a socket:
 //! slow clients cost a buffer, idle keep-alive clients cost a file
@@ -47,12 +44,13 @@
 //! execution.
 
 use std::collections::HashMap;
+use std::ffi::c_void;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::raw::{c_int, c_uint};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,6 +74,7 @@ const EFD_NONBLOCK: c_int = 0x800;
 const EFD_CLOEXEC: c_int = 0x80000;
 
 const AF_INET: c_int = 2;
+const AF_INET6: c_int = 10;
 const SOCK_STREAM: c_int = 1;
 const SOCK_NONBLOCK: c_int = 0x800;
 const SOCK_CLOEXEC: c_int = 0x80000;
@@ -83,8 +82,8 @@ const SOL_SOCKET: c_int = 1;
 const SO_REUSEADDR: c_int = 2;
 const SO_REUSEPORT: c_int = 15;
 
-/// Accept-queue length every listening socket asks for. std's
-/// `TcpListener::bind` asks for 128, which a burst of concurrent connects
+/// Accept-queue length every listening socket asks for. std's listeners
+/// ask for 128, which a burst of concurrent connects
 /// overflows; each dropped SYN then waits out a 1 s retransmit. The
 /// kernel caps the value at `net.core.somaxconn`.
 const LISTEN_BACKLOG: c_int = 1024;
@@ -107,6 +106,17 @@ struct SockAddrIn {
     sin_zero: [u8; 8],
 }
 
+/// Mirror of `struct sockaddr_in6` (28 bytes); the port is big-endian,
+/// the address is its 16 octets in network order.
+#[repr(C)]
+struct SockAddrIn6 {
+    sin6_family: u16,
+    sin6_port: u16,
+    sin6_flowinfo: u32,
+    sin6_addr: [u8; 16],
+    sin6_scope_id: u32,
+}
+
 /// Mirror of `struct epoll_event`. The kernel ABI packs this to 12 bytes on
 /// x86-64 (and only there), hence the conditional `repr(packed)`.
 #[repr(C)]
@@ -125,91 +135,102 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     pub(crate) fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    fn bind(fd: c_int, addr: *const SockAddrIn, len: c_uint) -> c_int;
+    fn bind(fd: c_int, addr: *const c_void, len: c_uint) -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
     fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_int, len: c_uint) -> c_int;
 }
 
-/// Binds one non-blocking listener without `SO_REUSEPORT` (so a port
-/// already in use still fails with `EADDRINUSE`) and with a
-/// [`LISTEN_BACKLOG`] accept queue: `listen` on an already-listening
-/// socket just resizes its queue.
-pub(crate) fn bind_listener(addr: &str) -> std::io::Result<TcpListener> {
-    let listener = TcpListener::bind(addr)?;
-    // SAFETY: `listen` only reads the fd, which `listener` owns and keeps
-    // open for the duration of the call.
-    if unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) } < 0 {
-        return Err(std::io::Error::last_os_error());
+/// Binds `n` non-blocking listening sockets to the same address: the
+/// first address `addr` resolves to that takes the bind, tried in order
+/// as std's `TcpListener` does. Every socket gets `SO_REUSEADDR`
+/// and a [`LISTEN_BACKLOG`] accept queue. With `n > 1` they also get
+/// `SO_REUSEPORT`, so the kernel shards incoming connections across them;
+/// a single socket goes without, so a port already in use still fails
+/// with `EADDRINUSE`. Port 0 is resolved by the first socket and reused
+/// by the rest, so all shards share the ephemeral port.
+pub(crate) fn bind_listeners(addr: &str, n: usize) -> std::io::Result<Vec<TcpListener>> {
+    let mut last_err = None;
+    for mut sa in addr.to_socket_addrs()? {
+        let mut listeners = Vec::with_capacity(n);
+        let bound = (0..n.max(1)).try_for_each(|_| {
+            let listener = bind_one(sa, n > 1)?;
+            if sa.port() == 0 {
+                sa.set_port(listener.local_addr()?.port());
+            }
+            listeners.push(listener);
+            Ok(())
+        });
+        match bound {
+            Ok(()) => return Ok(listeners),
+            Err(e) => last_err = Some(e),
+        }
     }
-    listener.set_nonblocking(true)?;
-    Ok(listener)
+    Err(last_err.unwrap_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "could not resolve to any addresses",
+        )
+    }))
 }
 
-/// Bind `n` listening sockets to the same IPv4 address with
-/// `SO_REUSEPORT`, so the kernel shards incoming connections across them.
-/// Port 0 is resolved once (first socket) and reused for the rest, so all
-/// shards share the ephemeral port. Any failure — including a non-IPv4
-/// target — reports an error and the caller falls back to the
-/// accept-and-deal topology.
-pub(crate) fn reuseport_listeners(addr: &str, n: usize) -> std::io::Result<Vec<TcpListener>> {
-    use std::net::{SocketAddr, ToSocketAddrs};
-    let sa = addr
-        .to_socket_addrs()?
-        .find_map(|a| match a {
-            SocketAddr::V4(v4) => Some(v4),
-            SocketAddr::V6(_) => None,
-        })
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "SO_REUSEPORT sharding requires an IPv4 address",
-            )
-        })?;
-    let mut port = sa.port();
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        // SAFETY: freshly created socket fd we exclusively own; wrapping
-        // first makes every error path below close it on drop.
-        let listener = unsafe { TcpListener::from_raw_fd(fd) };
-        let one: c_int = 1;
-        for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-            let rc = unsafe {
-                setsockopt(
-                    fd,
-                    SOL_SOCKET,
-                    opt,
-                    &one,
-                    std::mem::size_of::<c_int>() as c_uint,
-                )
-            };
-            if rc < 0 {
-                return Err(std::io::Error::last_os_error());
-            }
-        }
-        let sin = SockAddrIn {
-            sin_family: AF_INET as u16,
-            sin_port: port.to_be(),
-            sin_addr: u32::from(*sa.ip()).to_be(),
-            sin_zero: [0; 8],
-        };
-        if unsafe { bind(fd, &sin, std::mem::size_of::<SockAddrIn>() as c_uint) } < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        // SAFETY: `fd` is the open socket `listener` owns; `listen` only
-        // reads it.
-        if unsafe { listen(fd, LISTEN_BACKLOG) } < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        if port == 0 {
-            port = listener.local_addr()?.port();
-        }
-        out.push(listener);
+/// Maps a negative libc return value to the thread's `errno`.
+fn cvt(rc: c_int) -> std::io::Result<c_int> {
+    if rc < 0 {
+        Err(std::io::Error::last_os_error())
+    } else {
+        Ok(rc)
     }
-    Ok(out)
+}
+
+/// One non-blocking listening socket on `sa` (see [`bind_listeners`]).
+fn bind_one(sa: SocketAddr, reuse_port: bool) -> std::io::Result<TcpListener> {
+    let domain = if sa.is_ipv4() { AF_INET } else { AF_INET6 };
+    // SAFETY: `socket` takes no pointers.
+    let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+    // SAFETY: freshly created socket fd we exclusively own; wrapping
+    // first makes every error path below close it on drop.
+    let listener = unsafe { TcpListener::from_raw_fd(fd) };
+    let one: c_int = 1;
+    let opts: &[c_int] = if reuse_port {
+        &[SO_REUSEADDR, SO_REUSEPORT]
+    } else {
+        &[SO_REUSEADDR]
+    };
+    for &opt in opts {
+        // SAFETY: `fd` is open; `one` outlives the call and the length
+        // passed is its exact size.
+        cvt(unsafe { setsockopt(fd, SOL_SOCKET, opt, &one, size_of::<c_int>() as c_uint) })?;
+    }
+    let (sin, sin6);
+    let (ptr, len): (*const c_void, usize) = match sa {
+        SocketAddr::V4(v4) => {
+            sin = SockAddrIn {
+                sin_family: AF_INET as u16,
+                sin_port: v4.port().to_be(),
+                sin_addr: u32::from(*v4.ip()).to_be(),
+                sin_zero: [0; 8],
+            };
+            (std::ptr::from_ref(&sin).cast(), size_of_val(&sin))
+        }
+        SocketAddr::V6(v6) => {
+            sin6 = SockAddrIn6 {
+                sin6_family: AF_INET6 as u16,
+                sin6_port: v6.port().to_be(),
+                sin6_flowinfo: v6.flowinfo(),
+                sin6_addr: v6.ip().octets(),
+                sin6_scope_id: v6.scope_id(),
+            };
+            (std::ptr::from_ref(&sin6).cast(), size_of_val(&sin6))
+        }
+    };
+    // SAFETY: `fd` is open; `ptr` points at the complete `sockaddr_in` or
+    // `sockaddr_in6` built above, which outlives the call, and `len` is
+    // its exact size.
+    cvt(unsafe { bind(fd, ptr, len as c_uint) })?;
+    // SAFETY: `fd` is the open socket `listener` owns; `listen` only
+    // reads it.
+    cvt(unsafe { listen(fd, LISTEN_BACKLOG) })?;
+    Ok(listener)
 }
 
 /// An owned epoll instance.
@@ -219,10 +240,8 @@ pub(crate) struct Epoll {
 
 impl Epoll {
     pub(crate) fn new() -> std::io::Result<Epoll> {
-        let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
+        // SAFETY: `epoll_create1` takes no pointers.
+        let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll { fd })
     }
 
@@ -236,9 +255,9 @@ impl Epoll {
         } else {
             &mut ev as *mut EpollEvent
         };
-        if unsafe { epoll_ctl(self.fd, op, fd, arg) } < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
+        // SAFETY: `self.fd` is the epoll fd this value owns; `arg` is null
+        // (allowed for DEL) or points at `ev`, which outlives the call.
+        cvt(unsafe { epoll_ctl(self.fd, op, fd, arg) })?;
         Ok(())
     }
 
@@ -261,6 +280,8 @@ impl Epoll {
         events: &mut [EpollEvent],
         timeout_ms: c_int,
     ) -> std::io::Result<usize> {
+        // SAFETY: the kernel writes at most `events.len()` entries into the
+        // exclusively borrowed `events` buffer.
         let n = unsafe {
             epoll_wait(
                 self.fd,
@@ -282,6 +303,7 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: this value owns `self.fd` and nothing uses it after drop.
         unsafe { close(self.fd) };
     }
 }
@@ -294,10 +316,8 @@ pub(crate) struct Waker {
 
 impl Waker {
     pub(crate) fn new() -> std::io::Result<Waker> {
-        let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
+        // SAFETY: `eventfd` takes no pointers.
+        let fd = cvt(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?;
         // SAFETY: `fd` is a freshly created eventfd we exclusively own.
         let file = unsafe { std::fs::File::from_raw_fd(fd) };
         Ok(Waker { file })
@@ -384,28 +404,13 @@ const OVERLOADED: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\n\
     Content-Type: application/json\r\nContent-Length: 36\r\n\
     Connection: close\r\n\r\n{\"error\":\"connection limit reached\"}";
 
-/// How one reactor gets its connections (see module docs).
-pub(crate) enum AcceptRole {
-    /// Own `SO_REUSEPORT` listening socket (or the only listener when
-    /// running single-reactor): the kernel shards accepts.
-    Shard(TcpListener),
-    /// Fallback topology: this reactor owns the single listener and deals
-    /// accepted streams round-robin to itself and every sibling, waking
-    /// each sibling over its eventfd.
-    Owner {
-        listener: TcpListener,
-        siblings: Vec<(Sender<TcpStream>, Arc<Waker>)>,
-    },
-    /// Fallback topology: no listener; adopts streams dealt by the owner.
-    Member(Receiver<TcpStream>),
-}
-
 /// Everything one reactor thread needs, bundled so [`run`] stays a
 /// single-argument spawn target.
 pub(crate) struct ReactorConfig {
     /// This reactor's index (0-based); index 0 drives `on_tick`.
     pub index: usize,
-    pub role: AcceptRole,
+    /// This reactor's listening socket (see [`bind_listeners`]).
+    pub listener: TcpListener,
     pub dispatcher: Arc<Dispatcher>,
     pub completions: Receiver<Completion>,
     pub waker: Arc<Waker>,
@@ -430,8 +435,6 @@ struct Reactor {
     conns: HashMap<u64, Conn>,
     wheel: TimerWheel,
     next_token: u64,
-    /// Round-robin cursor for the `Owner` deal.
-    rr: usize,
 }
 
 /// One reactor's event loop. Owns a shard of the connections, its own
@@ -440,7 +443,7 @@ struct Reactor {
 pub(crate) fn run(cfg: ReactorConfig) {
     let ReactorConfig {
         index,
-        role,
+        listener,
         dispatcher,
         completions,
         waker,
@@ -465,15 +468,9 @@ pub(crate) fn run(cfg: ReactorConfig) {
         eprintln!("hamlet-serve reactor {index}: registering waker failed: {e}");
         return;
     }
-    let listener_fd = match &role {
-        AcceptRole::Shard(l) | AcceptRole::Owner { listener: l, .. } => Some(l.as_raw_fd()),
-        AcceptRole::Member(_) => None,
-    };
-    if let Some(fd) = listener_fd {
-        if let Err(e) = epoll.add(fd, TOKEN_LISTENER, EPOLLIN) {
-            eprintln!("hamlet-serve reactor {index}: registering listener failed: {e}");
-            return;
-        }
+    if let Err(e) = epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN) {
+        eprintln!("hamlet-serve reactor {index}: registering listener failed: {e}");
+        return;
     }
     let mut r = Reactor {
         index,
@@ -486,7 +483,6 @@ pub(crate) fn run(cfg: ReactorConfig) {
         conns: HashMap::new(),
         wheel: TimerWheel::new(now),
         next_token: FIRST_CONN_TOKEN,
-        rr: 0,
     };
     // Application ticks fire on exactly one reactor (the auto-demoter must
     // not run N× faster because the network plane got wider).
@@ -515,13 +511,7 @@ pub(crate) fn run(cfg: ReactorConfig) {
             let bits = ev.events;
             match token {
                 TOKEN_WAKER => waker.drain(),
-                TOKEN_LISTENER => match &role {
-                    AcceptRole::Shard(listener) => r.accept_ready(listener, &[], now),
-                    AcceptRole::Owner { listener, siblings } => {
-                        r.accept_ready(listener, siblings, now)
-                    }
-                    AcceptRole::Member(_) => {}
-                },
+                TOKEN_LISTENER => r.accept_ready(&listener, now),
                 _ => {
                     let Some(conn) = r.conns.get_mut(&token) else {
                         continue; // already closed this iteration
@@ -544,14 +534,6 @@ pub(crate) fn run(cfg: ReactorConfig) {
                     }
                     r.finish_step(token, verdict, now);
                 }
-            }
-        }
-
-        // Streams dealt by the owner reactor (fallback topology only); the
-        // owner wakes this reactor's eventfd after each send.
-        if let AcceptRole::Member(handoff) = &role {
-            while let Ok(stream) = handoff.try_recv() {
-                r.adopt(stream, now);
             }
         }
 
@@ -604,36 +586,11 @@ pub(crate) fn run(cfg: ReactorConfig) {
 }
 
 impl Reactor {
-    /// Accept every pending connection (level-triggered listener). With
-    /// siblings (the `Owner` fallback role), deal streams round-robin
-    /// across the whole fleet including this reactor.
-    fn accept_ready(
-        &mut self,
-        listener: &TcpListener,
-        siblings: &[(Sender<TcpStream>, Arc<Waker>)],
-        now: Instant,
-    ) {
+    /// Accept every pending connection (level-triggered listener).
+    fn accept_ready(&mut self, listener: &TcpListener, now: Instant) {
         loop {
             match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if siblings.is_empty() {
-                        self.adopt(stream, now);
-                        continue;
-                    }
-                    let target = self.rr % (siblings.len() + 1);
-                    self.rr = self.rr.wrapping_add(1);
-                    if target == 0 {
-                        self.adopt(stream, now);
-                        continue;
-                    }
-                    let (tx, waker) = &siblings[target - 1];
-                    match tx.send(stream) {
-                        Ok(()) => waker.wake(),
-                        // Sibling exited (shutdown mid-flight): keep the
-                        // stream local rather than dropping it.
-                        Err(back) => self.adopt(back.0, now),
-                    }
-                }
+                Ok((stream, _peer)) => self.adopt(stream, now),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -706,11 +663,11 @@ impl Reactor {
         // ordering), so this hands over at most one job.
         let next = conn.next_job(now);
         if let Some(request) = next {
-            // Gauge-eligible jobs (see ServerOptions::queue_gauge) are
+            // Gauge-eligible jobs (see `http::gauge_predicts`) are
             // counted before the push so an executor (or a coalescing
             // handler reading the gauge) never observes its own job as
             // "nothing else pending" while more dispatches race in.
-            let counted = (self.opts.queue_gauge)(&request);
+            let counted = crate::http::gauge_predicts(&request);
             if counted {
                 self.queue_depth.fetch_add(1, Ordering::SeqCst);
             }
@@ -784,7 +741,7 @@ mod tests {
             eprintln!("skipped: net.core.somaxconn = {somaxconn} caps backlogs below {BURST}");
             return;
         }
-        let listener = bind_listener("127.0.0.1:0").unwrap();
+        let listener = bind_listeners("127.0.0.1:0", 1).unwrap().remove(0);
         let addr = listener.local_addr().unwrap();
         // Nobody accepts: every connect must complete into the accept queue.
         let held: Vec<TcpStream> = (0..BURST)
@@ -795,7 +752,7 @@ mod tests {
             .collect();
         assert_eq!(held.len(), BURST);
         // No SO_REUSEPORT: a second bind to the busy port still fails.
-        let err = bind_listener(&addr.to_string()).unwrap_err();
+        let err = bind_listeners(&addr.to_string(), 1).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
     }
 

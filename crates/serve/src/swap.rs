@@ -55,10 +55,11 @@ pub struct ArcSwapCell<T> {
     write: Mutex<()>,
 }
 
-// Safety: T behind Arc is shared across threads on load (needs Send+Sync);
+// SAFETY: T behind Arc is shared across threads on load (needs Send+Sync);
 // the interior UnsafeCell is only written by the mutex-holding writer after
 // draining readers, and only read by readers pinning the slot.
 unsafe impl<T: Send + Sync> Send for ArcSwapCell<T> {}
+// SAFETY: as for `Send` above.
 unsafe impl<T: Send + Sync> Sync for ArcSwapCell<T> {}
 
 impl<T> ArcSwapCell<T> {
@@ -79,9 +80,10 @@ impl<T> ArcSwapCell<T> {
             let slot = &self.slots[i];
             slot.readers.fetch_add(1, Ordering::SeqCst);
             if self.active.load(Ordering::SeqCst) == i {
-                // Pinned: a writer targeting this slot waits for our count
-                // to drain before touching the value, and the value it
-                // *last* wrote here happens-before the flip we observed.
+                // SAFETY: the slot is pinned. A writer targeting this slot
+                // waits for our count to drain before touching the value,
+                // and the value it *last* wrote here happens-before the
+                // flip we observed.
                 let v = unsafe { (*slot.value.get()).clone() };
                 slot.readers.fetch_sub(1, Ordering::SeqCst);
                 return v;
@@ -105,7 +107,7 @@ impl<T> ArcSwapCell<T> {
         while self.slots[next].readers.load(Ordering::SeqCst) != 0 {
             std::hint::spin_loop();
         }
-        // Safe: we hold the writer mutex, the slot is inactive, and no
+        // SAFETY: we hold the writer mutex, the slot is inactive, and no
         // reader pins it (checked above; new readers re-check `active`
         // after pinning and back out of an inactive slot).
         unsafe {

@@ -152,43 +152,49 @@ fn oneshot_rearm_survives_fragmented_pipelined_io_across_two_reactors() {
 
 #[test]
 fn per_reactor_stats_cover_every_accepted_connection() {
-    let net = Arc::new(NetStats::new());
-    let server = Server::bind_with(
-        "127.0.0.1:0",
-        slow_fast_handler(),
-        ServerOptions {
-            workers: 2,
-            reactors: 4,
-            net_stats: Some(Arc::clone(&net)),
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
-    let addr = server.addr();
+    for addr in ["127.0.0.1:0", "[::1]:0"] {
+        if addr.starts_with('[') && std::net::TcpListener::bind(addr).is_err() {
+            eprintln!("skipped {addr}: IPv6 loopback cannot be bound here");
+            continue;
+        }
+        let net = Arc::new(NetStats::new());
+        let server = Server::bind_with(
+            addr,
+            slow_fast_handler(),
+            ServerOptions {
+                workers: 2,
+                reactors: 4,
+                net_stats: Some(Arc::clone(&net)),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
 
-    let mut conns = Vec::new();
-    for _ in 0..8 {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        s.write_all(b"GET /fast HTTP/1.1\r\nHost: h\r\n\r\n")
-            .unwrap();
-        let resp = read_one_response(&mut s);
-        assert!(resp.contains("/fast ok"), "{resp}");
-        conns.push(s);
-    }
+        let mut conns = Vec::new();
+        for _ in 0..8 {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            s.write_all(b"GET /fast HTTP/1.1\r\nHost: h\r\n\r\n")
+                .unwrap();
+            let resp = read_one_response(&mut s);
+            assert!(resp.contains("/fast ok"), "{resp}");
+            conns.push(s);
+        }
 
-    // Each connection was adopted by exactly one reactor before its
-    // response could have been produced.
-    let snaps = net.reactor_snapshots();
-    assert_eq!(snaps.len(), 4, "one stats row per reactor");
-    let accepted: u64 = snaps.iter().map(|s| s.accepted_total).sum();
-    assert_eq!(accepted, 8, "{snaps:?}");
-    let open: usize = snaps.iter().map(|s| s.connections).sum();
-    assert_eq!(open, 8, "{snaps:?}");
-    for (i, s) in snaps.iter().enumerate() {
-        assert_eq!(s.index, i);
+        // Each connection was adopted by exactly one reactor before its
+        // response could have been produced.
+        let snaps = net.reactor_snapshots();
+        assert_eq!(snaps.len(), 4, "one stats row per reactor");
+        let accepted: u64 = snaps.iter().map(|s| s.accepted_total).sum();
+        assert_eq!(accepted, 8, "{snaps:?}");
+        let open: usize = snaps.iter().map(|s| s.connections).sum();
+        assert_eq!(open, 8, "{snaps:?}");
+        for (i, s) in snaps.iter().enumerate() {
+            assert_eq!(s.index, i);
+        }
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 /// One request against a server, reading the raw response bytes to EOF.
