@@ -4,9 +4,9 @@
 //! Two vantage points:
 //!
 //! - `exec_*` — the executor boundary in isolation: N independent 1-row
-//!   requests through the solo path (`execute_predict`, paying latency
-//!   cell + EWMA bookkeeping per request) vs. one merged `execute_batch`
-//!   over the same rows. This is the pure dispatch amortization.
+//!   requests through the solo path (`execute_predict`, paying the
+//!   model-cell lookup and EWMA bookkeeping per request) vs. one merged
+//!   `execute_batch` over the same rows. This is the pure dispatch amortization.
 //! - `http_*` — end to end over real sockets: a saturation round of small
 //!   concurrent predict requests against a server with coalescing at its
 //!   default tuning vs. disabled (`window = 0`).

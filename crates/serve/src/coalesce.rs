@@ -2,10 +2,10 @@
 //!
 //! Production traffic on `/v1/predict` is overwhelmingly *many tiny
 //! bodies* — one row from each of thousands of clients — not a few big
-//! batches. Served naively, every such request pays full dispatch (latency
-//! cell, EWMA fold-back, per-model accounting) for a one-row `predict`
-//! call. The coalescer amortizes that by merging **concurrent in-flight
-//! requests that resolved the same artifact** into one batch predict:
+//! batches. Served naively, every such request pays full dispatch (EWMA
+//! fold-back, per-model accounting) for a one-row `predict` call. The
+//! coalescer amortizes that by merging **concurrent in-flight requests
+//! that resolved the same artifact** into one batch predict:
 //!
 //! - The first request to find no open batch for its model becomes the
 //!   **leader**: it opens a batch with its rows and holds it open for a
@@ -17,16 +17,23 @@
 //!   merge width is bounded by the number of concurrent requests, not by
 //!   the executor count.
 //! - The leader then executes the whole batch sequentially on its own
-//!   executor thread and answers every participant. Rows are never re-ordered across a request boundary and per-row
-//!   prediction is stateless, so each response is **bit-identical** to the
-//!   uncoalesced execution.
+//!   executor thread and answers every participant. Rows are never
+//!   re-ordered across a request boundary and per-row prediction is
+//!   stateless, so each response is **bit-identical** to the uncoalesced
+//!   execution.
 //!
-//! The window is **fed by the per-model ns/row EWMA** (`AppState::latency`)
-//! rather than fixed: there is no point holding a batch open longer than
-//! the work itself costs, so for a cheap model (a tree at tens of ns/row)
-//! the effective window collapses to roughly the cost of a full batch,
-//! while an expensive RBF-SVM — where one merged batch saves many
-//! dispatches — gets the full configured window. The leader also
+//! Each model's merge point (`Lane`) lives in its telemetry cell
+//! ([`ModelStats`]), which the request resolved once; the coalescer itself
+//! holds only tuning and counters. A leader holds that cell's `Arc` while
+//! its batch is open, so the cell map's GC sweep never splits a batch.
+//!
+//! The window is **fed by the per-model ns/row EWMA**
+//! ([`ModelStats::ns_per_row`]) rather than fixed: there is no point
+//! holding a batch open longer than the work itself costs, so for a cheap
+//! model (a tree at tens of ns/row) the effective window collapses to
+//! roughly the cost of a full batch, while an expensive RBF-SVM — where
+//! one merged batch saves many dispatches — gets the full configured
+//! window. The leader also
 //! flushes early when the batch hits `max_rows` or when the executor
 //! queue drains (nobody left to wait for, observed via
 //! [`Responder::queue_depth`]) — which is what makes *sequential*
@@ -47,13 +54,13 @@
 //! predict unwinds the batch, whose responders then answer 500 from their
 //! destructors — one poisoned batch never wedges a connection.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::artifact::ModelArtifact;
 use crate::http::Responder;
+use crate::telemetry::ModelStats;
 
 /// Tuning for the predict coalescer.
 #[derive(Debug, Clone, Copy)]
@@ -138,11 +145,12 @@ pub struct PendingPredict {
     /// Where its response goes.
     pub responder: Responder,
     /// `Some` marks a **mirrored** part from the rollout plane's shadow
-    /// lane: the rows are a copy of live traffic already answered by the
-    /// incumbent, the responder is detached (its receiver dropped), and
-    /// after execution the labels are scored against `expected` instead of
-    /// being sent anywhere. Real requests carry `None`.
-    pub shadow: Option<crate::rollout::ShadowCtx>,
+    /// lane and holds the incumbent's labels for its rows: the rows are a
+    /// copy of live traffic the incumbent already answered, the responder
+    /// is detached (its receiver dropped), and after execution the labels
+    /// are scored against these instead of being sent anywhere. Real
+    /// requests carry `None`.
+    pub shadow: Option<Vec<bool>>,
 }
 
 /// A flushed batch the leader must execute: every participant resolved
@@ -176,9 +184,10 @@ pub enum Submitted {
     Solo(PendingPredict),
 }
 
-/// An open-or-idle merge point for one resolved model key.
+/// An open-or-idle merge point for one resolved model key; a field of the
+/// model's [`ModelStats`] cell.
 #[derive(Debug, Default)]
-struct Lane {
+pub(crate) struct Lane {
     state: Mutex<LaneState>,
     joined: Condvar,
 }
@@ -216,13 +225,6 @@ pub struct Coalescer {
     /// its `Telemetry` handle so `/healthz`, `/v1/stats` and `/metrics`
     /// all read the same accounting.
     pub stats: Arc<CoalesceStats>,
-    /// One lane per resolved model key, resolved through the same
-    /// lock-free snapshot technique as the registry's latest index — the
-    /// hot path must not reintroduce a global mutex just to clone a lane
-    /// `Arc`. The mutex only serializes first-seen-key inserts (once per
-    /// model, ever), under which the snapshot is republished.
-    lanes: crate::swap::ArcSwapCell<HashMap<String, Arc<Lane>>>,
-    lanes_mut: Mutex<()>,
 }
 
 /// Leader wake-up cadence while holding a batch open: short enough to
@@ -240,78 +242,16 @@ const LONELY_LEAD_THRESHOLD: u32 = 4;
 /// `LONELY_RETRY_EVERY` requests.
 const LONELY_RETRY_EVERY: u32 = 16;
 
-/// When a new-key insert finds this many lanes, idle ones (no thread
-/// holding them, no open batch) are pruned first. Lanes are keyed by
-/// `name@version`, so a periodically retrained model would otherwise leak
-/// one lane per superseded version for the process lifetime.
-const LANES_GC_THRESHOLD: usize = 256;
-
 impl Coalescer {
-    /// A coalescer with the given tuning and its own counter block.
-    pub fn new(config: CoalesceConfig) -> Self {
-        Coalescer::with_stats(config, Arc::new(CoalesceStats::default()))
-    }
-
-    /// A coalescer recording into an externally owned counter block
-    /// (telemetry's, in the server).
-    pub fn with_stats(config: CoalesceConfig, stats: Arc<CoalesceStats>) -> Self {
-        Coalescer {
-            config,
-            stats,
-            lanes: crate::swap::ArcSwapCell::new(Some(Arc::new(HashMap::new()))),
-            lanes_mut: Mutex::new(()),
-        }
-    }
-
-    /// The lane for a resolved model key: lock-free once the key has been
-    /// seen; a copy-on-write snapshot republish (serialized on
-    /// `lanes_mut`) the first time.
-    fn lane(&self, key: &str) -> Arc<Lane> {
-        let snapshot = self.lanes.load().expect("lane snapshot always present");
-        if let Some(lane) = snapshot.get(key) {
-            return Arc::clone(lane);
-        }
-        let _writer = self.lanes_mut.lock().expect("coalescer lanes poisoned");
-        // Re-check under the insert lock: another thread may have won.
-        let snapshot = self.lanes.load().expect("lane snapshot always present");
-        if let Some(lane) = snapshot.get(key) {
-            return Arc::clone(lane);
-        }
-        let lane = Arc::new(Lane::default());
-        let mut next = (*snapshot).clone();
-        if next.len() >= LANES_GC_THRESHOLD {
-            // Drop idle lanes (no open batch, not locked this instant).
-            // Pruning is always *correctness*-safe: a racing submit that
-            // cloned its lane from the old snapshot keeps the detached
-            // lane and finishes normally — worst case two batches briefly
-            // coexist for one key, which costs a missed merge, never a
-            // wrong answer. `try_lock` keeps this sweep non-blocking.
-            next.retain(|_, l| match l.state.try_lock() {
-                Ok(state) => state.open.is_some(),
-                Err(_) => true, // in use right now: keep
-            });
-        }
-        next.insert(key.to_string(), Arc::clone(&lane));
-        self.lanes.store(Some(Arc::new(next)));
-        lane
-    }
-
-    /// A disabled coalescer (every request runs solo).
-    pub fn disabled() -> Self {
-        Coalescer::new(CoalesceConfig {
-            window: Duration::ZERO,
-            max_rows: 0,
-        })
+    /// A coalescer with the given tuning, recording into `stats`
+    /// (telemetry's block, in the server).
+    pub fn new(config: CoalesceConfig, stats: Arc<CoalesceStats>) -> Self {
+        Coalescer { config, stats }
     }
 
     /// Whether any merging can happen at all.
     pub fn enabled(&self) -> bool {
         !self.config.window.is_zero() && self.config.max_rows > 1
-    }
-
-    /// The configured flush threshold.
-    pub fn max_rows(&self) -> usize {
-        self.config.max_rows
     }
 
     /// The merge window a leader would hold open for a model whose
@@ -333,23 +273,21 @@ impl Coalescer {
 
     /// Routes one validated request: merge into an open batch, lead a new
     /// one, or run solo. May block for up to the effective window (leader
-    /// path only). `key` is the artifact's resolved `name@version` (passed
-    /// in so the hot path computes it exactly once); `ewma_ns_per_row` is
-    /// the model's observed sequential per-row cost, if any.
+    /// path only). `cell` is the resolved model's cell: its lane is the
+    /// merge point and its EWMA sizes the window.
     pub fn submit(
         &self,
-        key: &str,
+        cell: &ModelStats,
         artifact: &Arc<ModelArtifact>,
         d: usize,
         part: PendingPredict,
-        ewma_ns_per_row: Option<f64>,
     ) -> Submitted {
         let n = part.rows.len() / d.max(1);
         if !self.enabled() || n >= self.config.max_rows {
             self.stats.solo_requests.fetch_add(1, Ordering::Relaxed);
             return Submitted::Solo(part);
         }
-        let lane = self.lane(key);
+        let lane = &cell.lane;
         let mut state = lane.state.lock().expect("coalescer lane poisoned");
         if let Some(open) = state.open.as_mut() {
             // An identity (not just key) match: a hot-swap racing this
@@ -399,7 +337,7 @@ impl Coalescer {
             total_rows: n,
             parts: vec![part],
         });
-        let deadline = Instant::now() + self.effective_window(ewma_ns_per_row);
+        let deadline = Instant::now() + self.effective_window(cell.ns_per_row());
         let why = loop {
             let open = state.open.as_ref().expect("leader owns the open batch");
             if open.total_rows >= self.config.max_rows {
@@ -502,22 +440,32 @@ mod tests {
     #[test]
     fn disabled_and_oversized_requests_run_solo() {
         let artifact = Arc::new(toy_artifact("solo", 1));
-        let off = Coalescer::disabled();
+        let cell = &ModelStats::default();
+        let off = Coalescer::new(
+            CoalesceConfig {
+                window: Duration::ZERO,
+                max_rows: 0,
+            },
+            Arc::default(),
+        );
         assert!(!off.enabled());
         let (p, _rx) = part(vec![0, 0], 8);
         assert!(matches!(
-            off.submit(&artifact.key(), &artifact, 2, p, None),
+            off.submit(cell, &artifact, 2, p),
             Submitted::Solo(_)
         ));
 
-        let on = Coalescer::new(CoalesceConfig {
-            window: Duration::from_millis(50),
-            max_rows: 4,
-        });
+        let on = Coalescer::new(
+            CoalesceConfig {
+                window: Duration::from_millis(50),
+                max_rows: 4,
+            },
+            Arc::default(),
+        );
         // 4 rows ≥ max_rows: big enough on its own, no merge.
         let (p, _rx) = part(vec![0; 8], 8);
         assert!(matches!(
-            on.submit(&artifact.key(), &artifact, 2, p, None),
+            on.submit(cell, &artifact, 2, p),
             Submitted::Solo(_)
         ));
         assert_eq!(on.stats.snapshot().solo_requests, 1);
@@ -526,14 +474,18 @@ mod tests {
     #[test]
     fn lone_requests_skip_the_window_entirely() {
         let artifact = Arc::new(toy_artifact("lone", 1));
-        let c = Coalescer::new(CoalesceConfig {
-            window: Duration::from_secs(5), // would be very visible
-            max_rows: 512,
-        });
+        let cell = &ModelStats::default();
+        let c = Coalescer::new(
+            CoalesceConfig {
+                window: Duration::from_secs(5), // would be very visible
+                max_rows: 512,
+            },
+            Arc::default(),
+        );
         let (p, _rx) = part(vec![0, 0], 1); // queue depth 1: nothing pending
         let t0 = Instant::now();
         assert!(matches!(
-            c.submit(&artifact.key(), &artifact, 2, p, None),
+            c.submit(cell, &artifact, 2, p),
             Submitted::Solo(_)
         ));
         assert!(
@@ -545,15 +497,19 @@ mod tests {
     #[test]
     fn window_timeout_flushes_a_lonely_leader() {
         let artifact = Arc::new(toy_artifact("timeout", 1));
-        let c = Coalescer::new(CoalesceConfig {
-            window: Duration::from_millis(30),
-            max_rows: 512,
-        });
+        let cell = &ModelStats::default();
+        let c = Coalescer::new(
+            CoalesceConfig {
+                window: Duration::from_millis(30),
+                max_rows: 512,
+            },
+            Arc::default(),
+        );
         // Depth 2 claims another request is pending; it never joins, so
         // the leader flushes alone at the window.
         let (p, _rx) = part(vec![0, 0], 2);
         let t0 = Instant::now();
-        let Submitted::Flush(batch) = c.submit(&artifact.key(), &artifact, 2, p, None) else {
+        let Submitted::Flush(batch) = c.submit(cell, &artifact, 2, p) else {
             panic!("expected leader flush");
         };
         assert!(
@@ -568,24 +524,28 @@ mod tests {
     #[test]
     fn followers_merge_into_the_leaders_batch_until_full() {
         let artifact = Arc::new(toy_artifact("merge", 1));
-        let c = Arc::new(Coalescer::new(CoalesceConfig {
-            window: Duration::from_secs(10), // flush must come from `Full`
-            max_rows: 4,
-        }));
+        let cell = &ModelStats::default();
+        let c = Arc::new(Coalescer::new(
+            CoalesceConfig {
+                window: Duration::from_secs(10), // flush must come from `Full`
+                max_rows: 4,
+            },
+            Arc::default(),
+        ));
         std::thread::scope(|scope| {
             let leader = {
                 let c = Arc::clone(&c);
                 let artifact = Arc::clone(&artifact);
                 scope.spawn(move || {
                     let (p, _rx) = part(vec![0, 0], 4);
-                    c.submit(&artifact.key(), &artifact, 2, p, None)
+                    c.submit(cell, &artifact, 2, p)
                 })
             };
             // Give the leader time to open the batch, then fill it.
             std::thread::sleep(Duration::from_millis(50));
             for _ in 0..3 {
                 let (p, _rx) = part(vec![1, 1], 4);
-                match c.submit(&artifact.key(), &artifact, 2, p, None) {
+                match c.submit(cell, &artifact, 2, p) {
                     Submitted::Joined => {}
                     other => panic!("expected follower join, got {other:?}"),
                 }
@@ -607,24 +567,28 @@ mod tests {
         // Same key, different identity (a hot-swap race): the follower
         // must fall back to solo, not merge into the stale batch.
         let a1 = Arc::new(toy_artifact("same", 1));
+        let cell = &ModelStats::default();
         let a2 = Arc::new(toy_artifact("same", 1));
-        let c = Arc::new(Coalescer::new(CoalesceConfig {
-            window: Duration::from_millis(200),
-            max_rows: 8,
-        }));
+        let c = Arc::new(Coalescer::new(
+            CoalesceConfig {
+                window: Duration::from_millis(200),
+                max_rows: 8,
+            },
+            Arc::default(),
+        ));
         std::thread::scope(|scope| {
             let leader = {
                 let c = Arc::clone(&c);
                 let a1 = Arc::clone(&a1);
                 scope.spawn(move || {
                     let (p, _rx) = part(vec![0, 0], 2);
-                    c.submit(&a1.key(), &a1, 2, p, None)
+                    c.submit(cell, &a1, 2, p)
                 })
             };
             std::thread::sleep(Duration::from_millis(50));
             let (p, _rx) = part(vec![1, 1], 2);
             assert!(
-                matches!(c.submit(&a2.key(), &a2, 2, p, None), Submitted::Solo(_)),
+                matches!(c.submit(cell, &a2, 2, p), Submitted::Solo(_)),
                 "identity mismatch must not merge"
             );
             assert!(matches!(leader.join().unwrap(), Submitted::Flush(_)));
@@ -634,20 +598,21 @@ mod tests {
     #[test]
     fn lonely_lanes_damp_to_solo_and_recover_on_a_real_merge() {
         let artifact = Arc::new(toy_artifact("damp", 1));
-        let c = Coalescer::new(CoalesceConfig {
-            window: Duration::from_millis(15),
-            max_rows: 512,
-        });
+        let cell = &ModelStats::default();
+        let c = Coalescer::new(
+            CoalesceConfig {
+                window: Duration::from_millis(15),
+                max_rows: 512,
+            },
+            Arc::default(),
+        );
         // A depth gauge stuck at 2 (e.g. steady predict traffic against a
         // different model that can never merge here): the first
         // few requests each lead and wait out the window...
         for i in 0..LONELY_LEAD_THRESHOLD {
             let (p, _rx) = part(vec![0, 0], 2);
             assert!(
-                matches!(
-                    c.submit(&artifact.key(), &artifact, 2, p, None),
-                    Submitted::Flush(_)
-                ),
+                matches!(c.submit(cell, &artifact, 2, p), Submitted::Flush(_)),
                 "request {i} should still lead"
             );
         }
@@ -656,10 +621,7 @@ mod tests {
         let mut solos = 0;
         for _ in 0..LONELY_RETRY_EVERY - 1 {
             let (p, _rx) = part(vec![0, 0], 2);
-            if matches!(
-                c.submit(&artifact.key(), &artifact, 2, p, None),
-                Submitted::Solo(_)
-            ) {
+            if matches!(c.submit(cell, &artifact, 2, p), Submitted::Solo(_)) {
                 solos += 1;
             }
         }
@@ -672,10 +634,7 @@ mod tests {
         // The periodic exploratory lead comes back around...
         let retried = (0..3).any(|_| {
             let (p, _rx) = part(vec![0, 0], 2);
-            matches!(
-                c.submit(&artifact.key(), &artifact, 2, p, None),
-                Submitted::Flush(_)
-            )
+            matches!(c.submit(cell, &artifact, 2, p), Submitted::Flush(_))
         });
         assert!(retried, "damping must keep probing for concurrency");
         // ...and one real merge resets the lane to fully eager. (The
@@ -683,7 +642,7 @@ mod tests {
         // again: drain a full retry cycle first so the next submit leads.)
         for _ in 0..LONELY_RETRY_EVERY {
             let (p, _rx) = part(vec![0, 0], 2);
-            let _ = c.submit(&artifact.key(), &artifact, 2, p, None);
+            let _ = c.submit(cell, &artifact, 2, p);
         }
         std::thread::scope(|scope| {
             let leader = {
@@ -691,32 +650,32 @@ mod tests {
                 let artifact = Arc::clone(&artifact);
                 scope.spawn(move || {
                     let (p, _rx) = part(vec![0, 0], 2);
-                    c.submit(&artifact.key(), &artifact, 2, p, None)
+                    c.submit(cell, &artifact, 2, p)
                 })
             };
             std::thread::sleep(Duration::from_millis(5));
             let (p, _rx) = part(vec![1, 1], 2);
             // May join the leader's batch (or miss the window and lead a
             // lonely batch itself; either way the leader's flush counts).
-            let _ = c.submit(&artifact.key(), &artifact, 2, p, None);
+            let _ = c.submit(cell, &artifact, 2, p);
             leader.join().unwrap();
         });
         let (p, _rx) = part(vec![0, 0], 2);
         assert!(
-            matches!(
-                c.submit(&artifact.key(), &artifact, 2, p, None),
-                Submitted::Flush(_)
-            ),
+            matches!(c.submit(cell, &artifact, 2, p), Submitted::Flush(_)),
             "a successful merge resets the damping"
         );
     }
 
     #[test]
     fn effective_window_tracks_the_models_cost() {
-        let c = Coalescer::new(CoalesceConfig {
-            window: Duration::from_micros(200),
-            max_rows: 512,
-        });
+        let c = Coalescer::new(
+            CoalesceConfig {
+                window: Duration::from_micros(200),
+                max_rows: 512,
+            },
+            Arc::default(),
+        );
         // Unknown model: full window.
         assert_eq!(c.effective_window(None), Duration::from_micros(200));
         // Expensive model (10 µs/row): a full batch dwarfs the window.

@@ -2,9 +2,9 @@
 //! the reactor refactor.
 //!
 //! No async runtime is available offline, and none is needed: a single
-//! **reactor thread** (see [`crate::reactor`]) multiplexes every connection
+//! **reactor thread** (see `crate::reactor`) multiplexes every connection
 //! over raw `epoll`, parsing requests incrementally through each
-//! connection's explicit state machine (see [`crate::conn`]). Parsed
+//! connection's explicit state machine (see `crate::conn`). Parsed
 //! requests are handed to a fixed pool of **executor threads** over a
 //! channel; executors run the router/handler and hand finished responses
 //! back to the reactor, which writes them as the socket allows.

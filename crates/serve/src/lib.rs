@@ -20,9 +20,9 @@
 //!   `/v1/predict` requests against one model merge into a single batch
 //!   predict at the executor boundary, with bit-identical responses;
 //! - [`http`] — a hand-rolled, event-driven HTTP/1.1 server on `std::net`:
-//!   one [`reactor`] thread multiplexes every connection over raw `epoll`
+//!   one `reactor` thread multiplexes every connection over raw `epoll`
 //!   (direct syscall FFI — no async runtime, no external crates), each
-//!   connection an explicit state machine ([`conn`]) with keep-alive on by
+//!   connection an explicit state machine (`conn`) with keep-alive on by
 //!   default, and a fixed executor pool running the handlers;
 //! - [`server`] — the endpoints:
 //!

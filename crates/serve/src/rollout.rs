@@ -21,10 +21,11 @@
 //! ```
 //!
 //! - **Shadow**: live `/v1/predict` batches against the incumbent are
-//!   mirrored into a second coalescer lane keyed by the candidate, after
-//!   the real responses have been sent. The mirrored responses are
-//!   discarded; per-row agreement with the incumbent and candidate latency
-//!   accumulate in the candidate's [`ModelStats`].
+//!   mirrored into the candidate's coalescer lane, after the real
+//!   responses have been sent. The mirrored responses are discarded;
+//!   per-row agreement with the incumbent and candidate latency accumulate
+//!   in the candidate's [`ModelStats`](crate::telemetry::ModelStats), the
+//!   same cell that holds that lane.
 //! - **Canary**: a configurable percent of bare-name requests — selected
 //!   by hashing the coalescer lane key with the row codes — is served by
 //!   the candidate for real; the rest keeps shadow-scoring.
@@ -60,7 +61,7 @@ use crate::container::crc32;
 use crate::error::{Result, ServeError};
 use crate::registry::ModelRegistry;
 use crate::telemetry::eventlog::{scan_frames, write_frame};
-use crate::telemetry::{Event, EventKind, EventLog, ModelStats, Telemetry};
+use crate::telemetry::{Event, EventKind, EventLog, Telemetry};
 
 /// Guardrails a candidate must clear to advance, and the knobs of the
 /// drift advisor. All server-configurable (`hamlet-serve serve
@@ -172,17 +173,6 @@ impl ActiveRollout {
     pub fn count_canary_error(&self) {
         self.canary_errors.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// Context attached to a mirrored (shadow) predict part: the incumbent's
-/// labels to score against, and the candidate's stats cell to fold the
-/// agreement into.
-#[derive(Debug)]
-pub struct ShadowCtx {
-    /// Incumbent labels for the mirrored rows, in row order.
-    pub expected: Vec<bool>,
-    /// The candidate's per-version stats cell.
-    pub stats: Arc<ModelStats>,
 }
 
 /// One labeled production row.

@@ -16,10 +16,8 @@ use crate::coalesce::{Batch, CoalesceConfig, Coalescer, PendingPredict, Submitte
 use crate::error::ServeError;
 use crate::http::{Handler, Request, Responder, Response, Server, ServerOptions};
 use crate::registry::{ModelRegistry, RegistryNote};
-use crate::rollout::{
-    ActiveRollout, Faults, GuardrailConfig, ObservedRow, RolloutPlane, ShadowCtx,
-};
-use crate::telemetry::{Endpoint, EventKind, OpsGauges, Telemetry};
+use crate::rollout::{ActiveRollout, Faults, GuardrailConfig, ObservedRow, RolloutPlane};
+use crate::telemetry::{Endpoint, EventKind, ModelStats, OpsGauges, Telemetry};
 use crate::train::{train_and_register, train_incremental};
 
 /// Shared state behind every worker thread.
@@ -28,17 +26,15 @@ pub struct AppState {
     pub registry: ModelRegistry,
     /// Directory artifacts are persisted into (and warm-loaded from).
     pub artifact_dir: PathBuf,
-    /// Observed per-row predict latency per model (EWMA). The coalescer
-    /// reads it to size each lane's batching window.
-    pub latency: LatencyTracker,
     /// Cross-request predict coalescer: concurrent small `/v1/predict`
     /// requests against the same resident model merge into one batch
     /// predict at the executor boundary (see [`crate::coalesce`]).
     pub coalescer: Coalescer,
-    /// The ops plane: per-model/per-endpoint latency histograms and
-    /// counters, the audit-event trail, and the last-hit timestamps the
-    /// idle auto-demoter reads. The coalescer's counter block is shared
-    /// with this handle, so every surface reports one accounting.
+    /// The ops plane: per-endpoint latency histograms and counters, the
+    /// audit-event trail, and the per-model cells — counters, last-hit
+    /// timestamp, per-row cost EWMA and coalescer lane — that every
+    /// predict resolves once. The coalescer's counter block is shared with
+    /// this handle, so every surface reports one accounting.
     pub telemetry: Telemetry,
     /// Network-plane gauges (per-reactor connections, per-model fair queue
     /// depths). [`serve_with`] installs it into the server's options so
@@ -58,97 +54,6 @@ pub struct AppState {
     /// inside a training run can never poison the gate shut: the RAII
     /// release in [`TrainPermit`] runs during unwinding.
     train_gate: std::sync::atomic::AtomicBool,
-}
-
-/// EWMA smoothing factor for per-row latency observations.
-const LATENCY_EWMA_ALPHA: f64 = 0.2;
-
-/// When a new-key insert finds this many latency cells, cells no request
-/// currently holds are pruned (superseded model versions otherwise
-/// accumulate one cell each for the process lifetime).
-const LATENCY_CELLS_GC_THRESHOLD: usize = 256;
-
-/// Per-model EWMA of observed per-row predict latency.
-///
-/// Observations are recorded lock-free per model (an `AtomicU64` holding
-/// f64 bits, CAS-updated); the outer map takes a write lock only the first
-/// time a model is seen. Each executed batch folds in its wall-clock ÷
-/// rows; batches run sequentially on their executor, so that is the
-/// model's per-row cost.
-#[derive(Debug, Default)]
-pub struct LatencyTracker {
-    cells: std::sync::RwLock<std::collections::HashMap<String, Arc<std::sync::atomic::AtomicU64>>>,
-}
-
-/// One model's latency cell, resolved once per request: reading the
-/// estimate and folding the observation back in are plain atomic ops on it —
-/// no further map lookups or lock acquisitions on the predict hot path.
-#[derive(Debug, Clone)]
-pub struct LatencyCell(Arc<std::sync::atomic::AtomicU64>);
-
-impl LatencyCell {
-    /// Current EWMA (ns/row), if any observation was recorded.
-    pub fn ns_per_row(&self) -> Option<f64> {
-        let bits = self.0.load(std::sync::atomic::Ordering::Relaxed);
-        (bits != 0).then(|| f64::from_bits(bits))
-    }
-
-    /// Folds one observation (ns/row) into the EWMA.
-    pub fn observe(&self, ns_per_row: f64) {
-        use std::sync::atomic::Ordering;
-        if !ns_per_row.is_finite() || ns_per_row <= 0.0 {
-            return;
-        }
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let old = f64::from_bits(cur);
-            let next = if old == 0.0 {
-                ns_per_row
-            } else {
-                LATENCY_EWMA_ALPHA * ns_per_row + (1.0 - LATENCY_EWMA_ALPHA) * old
-            };
-            match self.0.compare_exchange_weak(
-                cur,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
-impl LatencyTracker {
-    /// Empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cell for a model key (read-lock lookup in steady state; a write
-    /// lock only the first time a model is seen).
-    pub fn cell(&self, key: &str) -> LatencyCell {
-        if let Some(cell) = self.cells.read().expect("latency lock poisoned").get(key) {
-            return LatencyCell(Arc::clone(cell));
-        }
-        let mut cells = self.cells.write().expect("latency lock poisoned");
-        if cells.len() >= LATENCY_CELLS_GC_THRESHOLD && !cells.contains_key(key) {
-            // Keys are `name@version`, so periodic retraining would grow
-            // the map by one superseded version forever. Cells held by an
-            // in-flight request (strong count > 1) survive; a pruned
-            // model's EWMA simply re-learns within a few requests.
-            cells.retain(|_, c| Arc::strong_count(c) > 1);
-        }
-        LatencyCell(Arc::clone(cells.entry(key.to_string()).or_default()))
-    }
-
-    /// Current EWMA for a model, if any observation was recorded.
-    pub fn ns_per_row(&self, key: &str) -> Option<f64> {
-        let cells = self.cells.read().expect("latency lock poisoned");
-        let bits = cells.get(key)?.load(std::sync::atomic::Ordering::Relaxed);
-        (bits != 0).then(|| f64::from_bits(bits))
-    }
 }
 
 /// RAII permit for the training gate; releases on drop (including panics).
@@ -232,8 +137,7 @@ impl AppState {
             Arc::new(AppState {
                 registry,
                 artifact_dir,
-                latency: LatencyTracker::new(),
-                coalescer: Coalescer::with_stats(opts.coalesce, telemetry.coalesce_stats()),
+                coalescer: Coalescer::new(opts.coalesce, telemetry.coalesce_stats()),
                 telemetry,
                 net: Arc::new(crate::http::NetStats::new()),
                 rollout,
@@ -310,7 +214,7 @@ pub fn execute_predict(
     rows: &[u32],
     d: usize,
 ) -> Vec<bool> {
-    let cell = state.latency.cell(&artifact.key());
+    let cell = state.telemetry.model(&artifact.key());
     execute_segments(&cell, artifact, &[rows], d)
         .labels
         .pop()
@@ -340,7 +244,7 @@ struct ExecOutcome {
 /// contiguously for the next tier — and per-segment results are
 /// bit-identical to solo per-row execution either way.
 fn execute_segments(
-    cell: &LatencyCell,
+    cell: &ModelStats,
     artifact: &ModelArtifact,
     segments: &[&[u32]],
     d: usize,
@@ -390,12 +294,12 @@ fn execute_segments(
             tier_hist: None,
         },
     };
-    cell.observe(predict_start.elapsed().as_nanos() as f64 / n as f64);
+    cell.observe_ns_per_row(predict_start.elapsed().as_nanos() as f64 / n as f64);
     outcome
 }
 
 /// Executes a merged batch — many requests' row buffers against one model
-/// — as one sequential batch predict, paying the latency cell and EWMA
+/// — as one sequential batch predict, paying the cell lookup and EWMA
 /// bookkeeping **once for the whole batch** instead of once per request.
 /// Per-segment results are bit-identical to solo execution.
 pub fn execute_batch(
@@ -404,7 +308,7 @@ pub fn execute_batch(
     segments: &[&[u32]],
     d: usize,
 ) -> Vec<Vec<bool>> {
-    let cell = state.latency.cell(&artifact.key());
+    let cell = state.telemetry.model(&artifact.key());
     execute_segments(&cell, artifact, segments, d).labels
 }
 
@@ -419,15 +323,10 @@ pub fn execute_batch(
 /// panic in [`crate::telemetry::EndpointStats`] (distinguishable from bad
 /// requests), shadow participants are skipped without polluting the
 /// candidate's agreement stats, and canary-served requests count toward
-/// the canary error-ratio guardrail.
-fn run_batch(
-    state: &AppState,
-    key: String,
-    cell: &LatencyCell,
-    tstats: &Arc<crate::telemetry::ModelStats>,
-    batch: Batch,
-    d: usize,
-) {
+/// the canary error-ratio guardrail. `cell` is the batch model's cell,
+/// which also takes the shadow scoring of mirrored parts: those only ever
+/// run in the candidate's own batches.
+fn run_batch(state: &AppState, key: String, cell: &ModelStats, batch: Batch, d: usize) {
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         state.faults.maybe_panic(&key);
         let segments: Vec<&[u32]> = batch.parts.iter().map(|p| p.rows.as_slice()).collect();
@@ -442,10 +341,10 @@ fn run_batch(
                 .is_some_and(|a| a.candidate == key && a.phase() == crate::rollout::Phase::Canary);
             for part in batch.parts {
                 let n_rows = (part.rows.len() / d.max(1)) as u64;
-                if let Some(shadow) = part.shadow {
+                if part.shadow.is_some() {
                     // A panicking candidate must not count mirrored rows
                     // as disagreement — skipped is its own signal.
-                    shadow.stats.record_shadow_skipped(n_rows);
+                    cell.record_shadow_skipped(n_rows);
                     continue;
                 }
                 let spent = part.start.elapsed();
@@ -474,7 +373,7 @@ fn run_batch(
         }
     }
     if let Some(hist) = &out.tier_hist {
-        tstats.record_tiers(hist);
+        cell.record_tiers(hist);
     }
     // Per-segment provenance travels with each participant's response;
     // `None` (single-model artifact) fans out as `None` per part.
@@ -499,23 +398,19 @@ fn run_batch(
         .zip(per_part_tiers.into_iter().zip(per_part_conf))
     {
         let spent = part.start.elapsed();
-        if let Some(shadow) = part.shadow.take() {
+        if let Some(expected) = part.shadow.take() {
             // Mirrored part: score agreement against the incumbent's
             // labels and fold candidate latency into its own histogram
             // (the p99 guardrail reads it); no response goes anywhere.
-            let agree = labels
-                .iter()
-                .zip(shadow.expected.iter())
-                .filter(|(a, b)| a == b)
-                .count() as u64;
-            shadow.stats.record_shadow(labels.len() as u64, agree);
-            tstats.record(spent, (part.rows.len() / d.max(1)) as u64, merged, now_ms);
+            let agree = labels.iter().zip(&expected).filter(|(a, b)| a == b).count() as u64;
+            cell.record_shadow(labels.len() as u64, agree);
+            cell.record(spent, (part.rows.len() / d.max(1)) as u64, merged, now_ms);
             continue;
         }
         if mirror.is_some() {
             mirrored.push((part.rows.clone(), labels.clone()));
         }
-        tstats.record(spent, (part.rows.len() / d.max(1)) as u64, merged, now_ms);
+        cell.record(spent, (part.rows.len() / d.max(1)) as u64, merged, now_ms);
         state
             .telemetry
             .endpoint(Endpoint::Predict)
@@ -557,8 +452,7 @@ fn mirror_into_shadow(
         return;
     }
     let cand_key = candidate.key();
-    let cell = state.latency.cell(&cand_key);
-    let tstats = state.telemetry.model(&cand_key);
+    let cell = state.telemetry.model(&cand_key);
     for (rows, expected) in mirrored {
         let (responder, rx) = Responder::direct();
         drop(rx); // discard the mirrored response entirely
@@ -567,25 +461,18 @@ fn mirror_into_shadow(
             start: Instant::now(),
             explain_tiers: false,
             responder,
-            shadow: Some(ShadowCtx {
-                expected,
-                stats: Arc::clone(&tstats),
-            }),
+            shadow: Some(expected),
         };
-        match state
-            .coalescer
-            .submit(&cand_key, &candidate, d, part, cell.ns_per_row())
-        {
+        match state.coalescer.submit(&cell, &candidate, d, part) {
             Submitted::Joined => {}
             Submitted::Solo(part) => run_batch(
                 state,
                 cand_key.clone(),
                 &cell,
-                &tstats,
                 Batch::solo(Arc::clone(&candidate), part),
                 d,
             ),
-            Submitted::Flush(batch) => run_batch(state, cand_key.clone(), &cell, &tstats, batch, d),
+            Submitted::Flush(batch) => run_batch(state, cand_key.clone(), &cell, batch, d),
         }
     }
 }
@@ -642,12 +529,11 @@ fn predict(state: &AppState, req: &Request, responder: Responder) {
             artifact = candidate;
         }
     }
-    // Resolve the model's identity, latency cell and telemetry cell
-    // exactly once; every downstream step (coalescer lane and window,
-    // EWMA fold-back, response body, per-model accounting) reuses them.
+    // Resolve the model's identity and cell exactly once; every
+    // downstream step (coalescer lane and window, EWMA fold-back, response
+    // body, per-model accounting) reuses them.
     let key = artifact.key();
-    let cell = state.latency.cell(&key);
-    let tstats = state.telemetry.model(&key);
+    let cell = state.telemetry.model(&key);
     let part = PendingPredict {
         rows,
         start,
@@ -655,21 +541,16 @@ fn predict(state: &AppState, req: &Request, responder: Responder) {
         responder,
         shadow: None,
     };
-    match state
-        .coalescer
-        .submit(&key, &artifact, d, part, cell.ns_per_row())
-    {
+    match state.coalescer.submit(&cell, &artifact, d, part) {
         // Merged into an open batch: its leader answers; this executor is
         // already free for the next request.
         Submitted::Joined => {}
         // Solo and flushed batches share one execution path (`run_batch`):
         // panic containment, accounting and shadow mirroring live there.
-        Submitted::Solo(part) => {
-            run_batch(state, key, &cell, &tstats, Batch::solo(artifact, part), d)
-        }
+        Submitted::Solo(part) => run_batch(state, key, &cell, Batch::solo(artifact, part), d),
         // Leading a batch means every participant resolved this same
         // artifact, so the key and cell resolved above serve the batch.
-        Submitted::Flush(batch) => run_batch(state, key, &cell, &tstats, batch, d),
+        Submitted::Flush(batch) => run_batch(state, key, &cell, batch, d),
     }
 }
 
@@ -973,20 +854,19 @@ mod tests {
     use super::*;
 
     fn state() -> Arc<AppState> {
-        state_with_coalesce(CoalesceConfig::default())
+        state_with_faults(Faults::default())
     }
 
-    fn state_with_coalesce(coalesce: CoalesceConfig) -> Arc<AppState> {
+    fn state_with_faults(faults: Faults) -> Arc<AppState> {
         let telemetry = Telemetry::in_memory();
         Arc::new(AppState {
             registry: ModelRegistry::new(),
             artifact_dir: std::env::temp_dir().join("hamlet-serve-router-tests"),
-            latency: LatencyTracker::new(),
-            coalescer: Coalescer::with_stats(coalesce, telemetry.coalesce_stats()),
+            coalescer: Coalescer::new(CoalesceConfig::default(), telemetry.coalesce_stats()),
             telemetry,
             net: Arc::new(crate::http::NetStats::new()),
             rollout: Arc::new(RolloutPlane::in_memory(GuardrailConfig::default())),
-            faults: Faults::default(),
+            faults,
             train_gate: std::sync::atomic::AtomicBool::new(false),
         })
     }
@@ -1288,31 +1168,33 @@ mod tests {
 
     #[test]
     fn latency_cell_keeps_a_per_model_ewma() {
-        let t = LatencyTracker::new();
-        assert!(t.ns_per_row("fresh@1").is_none());
+        use crate::telemetry::stats::LATENCY_EWMA_ALPHA;
+        let t = Telemetry::in_memory();
+        let ns_per_row = |key: &str| t.model(key).ns_per_row();
+        assert!(ns_per_row("fresh@1").is_none());
         // The first observation seeds the EWMA; later ones blend in.
-        let svm = t.cell("svm@1");
-        svm.observe(50_000.0);
-        assert_eq!(t.ns_per_row("svm@1"), Some(50_000.0));
-        svm.observe(1_000.0);
+        let svm = t.model("svm@1");
+        svm.observe_ns_per_row(50_000.0);
+        assert_eq!(ns_per_row("svm@1"), Some(50_000.0));
+        svm.observe_ns_per_row(1_000.0);
         assert_eq!(
-            t.ns_per_row("svm@1"),
+            ns_per_row("svm@1"),
             Some(LATENCY_EWMA_ALPHA * 1_000.0 + (1.0 - LATENCY_EWMA_ALPHA) * 50_000.0)
         );
         // The EWMA tracks drift: many fast observations pull it down.
         for _ in 0..200 {
-            svm.observe(1_000.0);
+            svm.observe_ns_per_row(1_000.0);
         }
-        assert!(t.ns_per_row("svm@1").unwrap() < 1_100.0);
+        assert!(ns_per_row("svm@1").unwrap() < 1_100.0);
         // Models are independent.
-        t.cell("tree@1").observe(100.0);
-        assert_eq!(t.ns_per_row("tree@1"), Some(100.0));
+        t.model("tree@1").observe_ns_per_row(100.0);
+        assert_eq!(ns_per_row("tree@1"), Some(100.0));
         // Garbage observations are ignored.
-        let before = t.ns_per_row("svm@1");
-        svm.observe(f64::NAN);
-        svm.observe(-5.0);
-        svm.observe(0.0);
-        assert_eq!(t.ns_per_row("svm@1"), before);
+        let before = ns_per_row("svm@1");
+        svm.observe_ns_per_row(f64::NAN);
+        svm.observe_ns_per_row(-5.0);
+        svm.observe_ns_per_row(0.0);
+        assert_eq!(ns_per_row("svm@1"), before);
     }
 
     #[test]
@@ -1321,7 +1203,7 @@ mod tests {
         app.registry
             .insert(crate::artifact::tests::toy_artifact("obs", 1));
         let handler = router(Arc::clone(&app));
-        assert!(app.latency.ns_per_row("obs@1").is_none());
+        assert!(app.telemetry.model("obs@1").ns_per_row().is_none());
         let (status, _) = call(
             &handler,
             "POST",
@@ -1329,7 +1211,7 @@ mod tests {
             "{\"model\":\"obs\",\"rows\":[[0,0],[1,1]]}",
         );
         assert_eq!(status, 200);
-        let first = app.latency.ns_per_row("obs@1").expect("observed");
+        let first = app.telemetry.model("obs@1").ns_per_row().expect("observed");
         assert!(first > 0.0);
         // More traffic keeps folding in (the EWMA moves or stays finite).
         let (status, _) = call(
@@ -1339,7 +1221,12 @@ mod tests {
             "{\"model\":\"obs\",\"rows\":[[0,0]]}",
         );
         assert_eq!(status, 200);
-        assert!(app.latency.ns_per_row("obs@1").unwrap().is_finite());
+        assert!(app
+            .telemetry
+            .model("obs@1")
+            .ns_per_row()
+            .unwrap()
+            .is_finite());
     }
 
     #[test]
@@ -1556,22 +1443,9 @@ mod tests {
 
     #[test]
     fn predict_panic_is_contained_to_a_500() {
-        let telemetry = Telemetry::in_memory();
-        let app = Arc::new(AppState {
-            registry: ModelRegistry::new(),
-            artifact_dir: std::env::temp_dir().join("hamlet-srv-panic"),
-            latency: LatencyTracker::new(),
-            coalescer: Coalescer::with_stats(CoalesceConfig::default(), telemetry.coalesce_stats()),
-            telemetry,
-            net: Arc::new(crate::http::NetStats::new()),
-            rollout: Arc::new(crate::rollout::RolloutPlane::in_memory(
-                GuardrailConfig::default(),
-            )),
-            faults: Faults {
-                predict_panic: Some("boom@1".into()),
-                flip_labels: None,
-            },
-            train_gate: std::sync::atomic::AtomicBool::new(false),
+        let app = state_with_faults(Faults {
+            predict_panic: Some("boom@1".into()),
+            flip_labels: None,
         });
         app.registry
             .insert(crate::artifact::tests::toy_artifact("boom", 1));
@@ -1603,5 +1477,43 @@ mod tests {
             text.contains("hamlet_request_panics_total{endpoint=\"predict\"} 1"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn shadow_panics_are_skipped_not_served() {
+        // The candidate panics on every execution; its mirrored rows must
+        // be counted as skipped against its own cell while the incumbent
+        // answers the real request.
+        let app = state_with_faults(Faults {
+            predict_panic: Some("m@2".into()),
+            flip_labels: None,
+        });
+        app.registry
+            .insert(crate::artifact::tests::toy_artifact("m", 1));
+        app.registry
+            .register_candidate(crate::artifact::tests::toy_artifact("m", 2), 0, |_| Ok(()))
+            .unwrap();
+        let handler = router(Arc::clone(&app));
+        let (status, body) = call(
+            &handler,
+            "POST",
+            "/v1/rollout/start",
+            "{\"candidate\":\"m@2\"}",
+        );
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"phase\":\"shadow\""), "{body}");
+        let (status, body) = call(
+            &handler,
+            "POST",
+            "/v1/predict",
+            "{\"model\":\"m\",\"rows\":[[0,0],[1,1]]}",
+        );
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"model\":\"m@1\""), "{body}");
+        let snap = app.telemetry.model("m@2").snapshot();
+        assert_eq!(snap.shadow_skipped_rows, 2, "mirrored rows skipped");
+        assert_eq!(snap.shadow_rows, 0, "a panic is not scored");
+        let predict = app.telemetry.endpoint(Endpoint::Predict).snapshot();
+        assert_eq!(predict.panics, 0, "shadow panics never reach a client");
     }
 }

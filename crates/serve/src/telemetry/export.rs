@@ -210,10 +210,7 @@ pub fn prometheus(
 
     // Shadow-scoring accounting: only candidates that have received
     // mirrored traffic emit samples, mirroring the cascade convention.
-    let shadows: Vec<_> = models
-        .iter()
-        .filter(|(_, snap)| snap.shadow_rows > 0 || snap.shadow_skipped_rows > 0)
-        .collect();
+    let shadows: Vec<_> = models.iter().filter(|(_, snap)| snap.shadowed()).collect();
     if !shadows.is_empty() {
         out.push_str(
             "# HELP hamlet_shadow_rows_total Mirrored rows scored against the incumbent, by model.\n",
@@ -307,16 +304,15 @@ pub fn prometheus(
     // the exposition does not grow a zero sample per model per tier.
     let cascades: Vec<_> = models
         .iter()
-        .filter(|(_, snap)| snap.tier_rows.iter().any(|&n| n > 0))
+        .filter_map(|(key, snap)| Some((key, snap.cascade_tier_rows()?, snap.escalation_ratio()?)))
         .collect();
     if !cascades.is_empty() {
         out.push_str(
             "# HELP hamlet_cascade_tier_rows_total Rows answered per cascade tier, by model.\n",
         );
         out.push_str("# TYPE hamlet_cascade_tier_rows_total counter\n");
-        for (key, snap) in &cascades {
-            let deepest = snap.tier_rows.iter().rposition(|&n| n > 0).unwrap_or(0);
-            for (tier, &n) in snap.tier_rows[..=deepest].iter().enumerate() {
+        for (key, tier_rows, _) in &cascades {
+            for (tier, &n) in tier_rows.iter().enumerate() {
                 let _ = writeln!(
                     out,
                     "hamlet_cascade_tier_rows_total{{model=\"{}\",tier=\"{tier}\"}} {n}",
@@ -329,14 +325,11 @@ pub fn prometheus(
              escalated past tier 0.\n",
         );
         out.push_str("# TYPE hamlet_cascade_escalation_ratio gauge\n");
-        for (key, snap) in &cascades {
-            let total: u64 = snap.tier_rows.iter().sum();
-            let escalated: u64 = snap.tier_rows[1..].iter().sum();
+        for (key, _, ratio) in &cascades {
             let _ = writeln!(
                 out,
-                "hamlet_cascade_escalation_ratio{{model=\"{}\"}} {}",
-                escape_label(key),
-                escalated as f64 / total as f64
+                "hamlet_cascade_escalation_ratio{{model=\"{}\"}} {ratio}",
+                escape_label(key)
             );
         }
     }
@@ -412,9 +405,7 @@ pub fn stats_response(
         .models_snapshot()
         .into_iter()
         .map(|(key, snap)| {
-            let deepest = snap.tier_rows.iter().rposition(|&n| n > 0);
-            let tier_total: u64 = snap.tier_rows.iter().sum();
-            let shadowed = snap.shadow_rows > 0 || snap.shadow_skipped_rows > 0;
+            let shadowed = snap.shadowed();
             ModelStatsRow {
                 shadow_rows: shadowed.then_some(snap.shadow_rows),
                 shadow_agreement: snap.shadow_agreement(),
@@ -434,9 +425,8 @@ pub fn stats_response(
                 idle_secs: snap
                     .last_hit_ms
                     .map(|last| now_ms.saturating_sub(last) as f64 / 1e3),
-                cascade_tier_rows: deepest.map(|d| snap.tier_rows[..=d].to_vec()),
-                cascade_escalation_ratio: (tier_total > 0)
-                    .then(|| snap.tier_rows[1..].iter().sum::<u64>() as f64 / tier_total as f64),
+                cascade_tier_rows: snap.cascade_tier_rows().map(<[u64]>::to_vec),
+                cascade_escalation_ratio: snap.escalation_ratio(),
             }
         })
         .collect();
@@ -577,6 +567,68 @@ mod tests {
         let json = serde_json::to_string(&resp).unwrap();
         assert!(json.contains("\"kind\":\"Startup\""), "{json}");
         assert!(json.contains("\"p99_ms\":"), "{json}");
+    }
+
+    /// Both exporters derive the cascade and shadow figures from the same
+    /// snapshot methods, so they must report the same values.
+    #[test]
+    fn cascade_and_shadow_figures_agree_across_exporters() {
+        let t = seeded_telemetry();
+        let mut tiers = [0u64; hamlet_ml::cascade::MAX_TIERS];
+        tiers[0] = 6;
+        tiers[2] = 2; // tier 1 saw nothing but sits below a tier that did
+        t.model("casc@1").record_tiers(&tiers);
+        t.model("cand@2").record_shadow(10, 7);
+        t.model("cand@2").record_shadow_skipped(3);
+        let text = prometheus(
+            &t,
+            seeded_gauges(),
+            &seeded_rows(),
+            None,
+            &RolloutSnapshot::default(),
+        );
+        let resp = stats_response(
+            &t,
+            seeded_gauges(),
+            &seeded_rows(),
+            RolloutSnapshot::default(),
+        );
+        let row = |m: &str| resp.models.iter().find(|r| r.model == m).unwrap();
+
+        let casc = row("casc@1");
+        let tier_rows = casc.cascade_tier_rows.as_deref().expect("tiers recorded");
+        assert_eq!(tier_rows, [6, 0, 2], "trimmed after the deepest tier");
+        for (tier, n) in tier_rows.iter().enumerate() {
+            let sample =
+                format!("hamlet_cascade_tier_rows_total{{model=\"casc@1\",tier=\"{tier}\"}} {n}\n");
+            assert!(text.contains(&sample), "{sample}");
+        }
+        assert!(!text.contains("model=\"casc@1\",tier=\"3\""), "{text}");
+        let ratio = casc.cascade_escalation_ratio.expect("escalation ratio");
+        assert_eq!(ratio, 0.25);
+        let sample = format!("hamlet_cascade_escalation_ratio{{model=\"casc@1\"}} {ratio}\n");
+        assert!(text.contains(&sample), "{sample}");
+
+        let cand = row("cand@2");
+        assert_eq!(cand.shadow_rows, Some(10));
+        assert_eq!(cand.shadow_skipped_rows, Some(3));
+        let agreement = cand.shadow_agreement.expect("shadow agreement");
+        assert_eq!(agreement, 0.7);
+        for sample in [
+            "hamlet_shadow_rows_total{model=\"cand@2\"} 10\n".to_string(),
+            "hamlet_shadow_skipped_rows_total{model=\"cand@2\"} 3\n".to_string(),
+            format!("hamlet_shadow_agreement{{model=\"cand@2\"}} {agreement}\n"),
+        ] {
+            assert!(text.contains(&sample), "{sample}");
+        }
+
+        // A model with neither stays silent on both surfaces.
+        let alpha = row("alpha@1");
+        assert!(alpha.cascade_tier_rows.is_none() && alpha.cascade_escalation_ratio.is_none());
+        assert!(alpha.shadow_rows.is_none() && alpha.shadow_skipped_rows.is_none());
+        assert!(!text.contains("hamlet_cascade_escalation_ratio{model=\"alpha@1\"}"));
+        assert!(!text.contains("hamlet_shadow_rows_total{model=\"alpha@1\"}"));
+        assert!(!text.contains("hamlet_shadow_rows_total{model=\"casc@1\"}"));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! The hot path pays two relaxed `fetch_add`s per observation — one bucket
 //! increment and one running-sum update — with zero allocation and no
 //! locks. Bucket boundaries are log-linear: each power-of-two octave is
-//! split into [`SUBS`] equal sub-buckets, so relative error is bounded by
+//! split into `SUBS` equal sub-buckets, so relative error is bounded by
 //! `1/SUBS` (25%) everywhere above the floor, which is plenty for p50/p99/
 //! p999 over request latencies spanning microseconds to minutes.
 //!
 //! Layout: bucket 0 holds everything below `2^FLOOR_LOG2` ns (512 ns —
-//! below the resolution anyone tunes against), then [`OCTAVES`] octaves ×
-//! [`SUBS`] sub-buckets, then one overflow bucket. `2^(9+32)` ns ≈ 36.6
+//! below the resolution anyone tunes against), then `OCTAVES` octaves ×
+//! `SUBS` sub-buckets, then one overflow bucket. `2^(9+32)` ns ≈ 36.6
 //! minutes, so the overflow bucket only catches pathologies.
 
 use std::sync::atomic::{AtomicU64, Ordering};

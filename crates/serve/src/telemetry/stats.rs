@@ -2,10 +2,13 @@
 //! histograms, the recent-event ring, and the optional durable event log.
 //!
 //! Cloning `Telemetry` is an `Arc` bump; every recording path is lock-free
-//! or read-lock-only in steady state. Per-model cells follow the same
-//! pattern as `LatencyTracker`: a `RwLock<HashMap>` taken for read on
-//! every hit, with an occasional write-locked insert for first contact and
-//! a garbage-collection sweep once the map grows past a threshold.
+//! or read-lock-only in steady state. The per-model cell ([`ModelStats`])
+//! is the one piece of per-model state on the predict path: counters and
+//! histogram, the per-row cost EWMA the coalescer's window reads, and the
+//! coalescer's merge lane. The cell map is a `RwLock<HashMap>` taken for
+//! read on every hit, with an occasional write-locked insert for first
+//! contact and a garbage-collection sweep once the map grows past a
+//! threshold.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use hamlet_ml::cascade::MAX_TIERS;
 
-use crate::coalesce::CoalesceStats;
+use crate::coalesce::{CoalesceStats, Lane};
 use crate::error::Result;
 
 use super::eventlog::{Event, EventKind, EventLog};
@@ -23,8 +26,13 @@ use super::hist::{HistogramSnapshot, LatencyHistogram};
 /// Recent events kept in memory for `/v1/stats` regardless of whether a
 /// durable log is attached.
 const EVENT_RING: usize = 64;
-/// Per-model cell map GC threshold (mirrors `LATENCY_CELLS_GC_THRESHOLD`).
+/// When a first-contact insert finds this many model cells, the unheld
+/// cells without traffic are pruned first. Keys are `name@version`, so a
+/// periodically retrained model would otherwise leak one cell per probed
+/// version for the process lifetime.
 const MODEL_CELLS_GC_THRESHOLD: usize = 256;
+/// EWMA smoothing factor for per-row latency observations.
+pub(crate) const LATENCY_EWMA_ALPHA: f64 = 0.2;
 /// `last_hit_ms` sentinel: never hit since boot.
 const NEVER: u64 = u64::MAX;
 
@@ -159,8 +167,10 @@ pub struct EndpointSnapshot {
     pub hist: HistogramSnapshot,
 }
 
-/// Counters and latency for one model key, including the last-hit
-/// timestamp the auto-demoter reads.
+/// Everything the server keeps per model key: counters and latency, the
+/// last-hit timestamp the auto-demoter reads, the per-row cost EWMA and
+/// the coalescer's merge lane. A request resolves it once and passes it
+/// down the whole predict path.
 #[derive(Debug)]
 pub struct ModelStats {
     hist: LatencyHistogram,
@@ -182,6 +192,11 @@ pub struct ModelStats {
     /// Shadow rows skipped because the mirrored execution panicked — kept
     /// out of both `shadow_rows` and the agreement tally.
     shadow_skipped_rows: AtomicU64,
+    /// EWMA of observed sequential predict cost in ns/row, as f64 bits
+    /// (CAS-updated); zero until the first observation.
+    ns_per_row: AtomicU64,
+    /// The coalescer's merge point for this model.
+    pub(crate) lane: Lane,
 }
 
 impl Default for ModelStats {
@@ -196,6 +211,8 @@ impl Default for ModelStats {
             shadow_rows: AtomicU64::new(0),
             shadow_agree_rows: AtomicU64::new(0),
             shadow_skipped_rows: AtomicU64::new(0),
+            ns_per_row: AtomicU64::new(0),
+            lane: Lane::default(),
         }
     }
 }
@@ -238,6 +255,39 @@ impl ModelStats {
         self.shadow_skipped_rows.fetch_add(rows, Ordering::Relaxed);
     }
 
+    /// Current per-row cost EWMA (ns/row), if any observation was recorded.
+    pub fn ns_per_row(&self) -> Option<f64> {
+        let bits = self.ns_per_row.load(Ordering::Relaxed);
+        (bits != 0).then(|| f64::from_bits(bits))
+    }
+
+    /// Folds one executed batch's wall-clock ÷ rows into the EWMA: the
+    /// first observation seeds it, later ones blend in, and non-finite or
+    /// non-positive values are ignored.
+    pub fn observe_ns_per_row(&self, ns_per_row: f64) {
+        if !ns_per_row.is_finite() || ns_per_row <= 0.0 {
+            return;
+        }
+        let mut cur = self.ns_per_row.load(Ordering::Relaxed);
+        loop {
+            let old = f64::from_bits(cur);
+            let next = if old == 0.0 {
+                ns_per_row
+            } else {
+                LATENCY_EWMA_ALPHA * ns_per_row + (1.0 - LATENCY_EWMA_ALPHA) * old
+            };
+            match self.ns_per_row.compare_exchange_weak(
+                cur,
+                next.to_bits(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(now) => cur = now,
+            }
+        }
+    }
+
     pub fn snapshot(&self) -> ModelSnapshot {
         let last = self.last_hit_ms.load(Ordering::Relaxed);
         ModelSnapshot {
@@ -276,6 +326,24 @@ impl ModelSnapshot {
     /// Live shadow agreement ratio, when any shadow rows were scored.
     pub fn shadow_agreement(&self) -> Option<f64> {
         (self.shadow_rows > 0).then(|| self.shadow_agree_rows as f64 / self.shadow_rows as f64)
+    }
+
+    /// Whether this version received mirrored traffic, scored or skipped.
+    pub fn shadowed(&self) -> bool {
+        self.shadow_rows > 0 || self.shadow_skipped_rows > 0
+    }
+
+    /// Rows answered per cascade tier, trimmed after the deepest tier that
+    /// saw traffic; `None` when no tiered execution touched this model.
+    pub fn cascade_tier_rows(&self) -> Option<&[u64]> {
+        let deepest = self.tier_rows.iter().rposition(|&n| n > 0)?;
+        Some(&self.tier_rows[..=deepest])
+    }
+
+    /// Fraction of cascade-served rows that escalated past tier 0.
+    pub fn escalation_ratio(&self) -> Option<f64> {
+        let total: u64 = self.tier_rows.iter().sum();
+        (total > 0).then(|| self.tier_rows[1..].iter().sum::<u64>() as f64 / total as f64)
     }
 }
 
@@ -323,9 +391,8 @@ impl Telemetry {
     }
 
     /// The coalescer counter block this telemetry owns. Hand the same
-    /// `Arc` to [`Coalescer::with_stats`](crate::coalesce::Coalescer::with_stats)
-    /// so `/healthz`, `/v1/stats` and `/metrics` all read one source of
-    /// truth.
+    /// `Arc` to [`Coalescer::new`](crate::coalesce::Coalescer::new) so
+    /// `/healthz`, `/v1/stats` and `/metrics` all read one source of truth.
     pub fn coalesce_stats(&self) -> Arc<CoalesceStats> {
         Arc::clone(&self.inner.coalesce)
     }
@@ -336,9 +403,9 @@ impl Telemetry {
         &self.inner.endpoints[e.index()]
     }
 
-    /// The stats cell for a model key, created on first contact. Callers
-    /// on the hot path resolve this once per request (or batch) and reuse
-    /// the `Arc`.
+    /// The cell for a model key, created on first contact. Callers on the
+    /// hot path resolve this once per request (or batch) and reuse the
+    /// `Arc`.
     pub fn model(&self, key: &str) -> Arc<ModelStats> {
         if let Some(cell) = self.inner.models.read().expect("model stats lock").get(key) {
             return Arc::clone(cell);
@@ -347,7 +414,9 @@ impl Telemetry {
         if map.len() >= MODEL_CELLS_GC_THRESHOLD {
             // Drop cells nobody else holds *and* that recorded nothing:
             // stats for keys that were only probed. Cells with traffic are
-            // kept so restarting clients cannot wipe history mid-scrape.
+            // kept so restarting clients cannot wipe history mid-scrape,
+            // and a coalescer leader holds its cell's `Arc` while its batch
+            // is open, so a sweep never splits a batch.
             map.retain(|_, cell| {
                 Arc::strong_count(cell) > 1 || cell.requests.load(Ordering::Relaxed) > 0
             });
@@ -472,6 +541,18 @@ mod tests {
         assert_eq!(snap.merged_requests, 1);
         assert_eq!(snap.rows, 4);
         assert!(snap.last_hit_ms.is_some());
+    }
+
+    #[test]
+    fn held_cells_survive_gc() {
+        let t = Telemetry::in_memory();
+        // Held with zero traffic, the way a coalescer leader holds its
+        // cell while its batch is open.
+        let held = t.model("m@1");
+        for i in 0..(MODEL_CELLS_GC_THRESHOLD + 8) {
+            t.model(&format!("ghost-{i}"));
+        }
+        assert!(Arc::ptr_eq(&held, &t.model("m@1")));
     }
 
     #[test]
