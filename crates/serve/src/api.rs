@@ -255,8 +255,8 @@ pub struct RolloutStartRequest {
     /// buffer (`train_incremental`, SGD-family models only) and roll out
     /// the resulting candidate.
     pub refresh: Option<String>,
-    /// Canary traffic slice percent (defaults to the server's
-    /// `--canary-slice`).
+    /// Canary traffic slice percent, in 1..=100 (defaults to the
+    /// server's `--canary-slice`).
     pub slice: Option<u8>,
 }
 

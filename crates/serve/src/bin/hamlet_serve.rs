@@ -1,37 +1,30 @@
-//! `hamlet-serve` CLI: train servable artifacts and run the HTTP server.
-//!
-//! ```bash
-//! hamlet-serve train --name movies-tree --dataset movies --spec TreeGini \
-//!     [--config NoJoin|JoinAll|NoFK] [--scale 2000] [--seed 7] [--full] [--dir artifacts]
-//! hamlet-serve serve [--addr 127.0.0.1:8080] [--workers N] [--reactors N] [--max-conns N]
-//!                    [--dir artifacts] [--load-mode heap|mmap]
-//!                    [--coalesce-window MICROS] [--coalesce-max-rows N]
-//! hamlet-serve probe [--addr 127.0.0.1:8080] [--idle 64] [--path /healthz]
-//!                    [--body JSON] [--threshold-ms 2000]
-//! hamlet-serve blast [--addr 127.0.0.1:8080] [--path /v1/predict] [--requests 64]
-//!                    [--concurrency 16] --body-template JSON-with-{i}
-//! hamlet-serve blast --conns 256 --duration 5 [--active 16] --body-template JSON
-//! hamlet-serve artifact inspect <path>
-//! hamlet-serve artifact convert <src> [--to v3|v2] [--dir DIR]
-//! hamlet-serve artifact diff <a> <b>
-//! hamlet-serve cascade build --tiers <cheap.bin,top.bin> [--target-p 0.95]
-//! hamlet-serve datasets
-//! ```
+//! `hamlet-serve` CLI: train servable artifacts, run the HTTP server, and
+//! drive a running server (probe, blast, rollout). The subcommands and
+//! their flags are listed in [`USAGE`], which `hamlet-serve --help` prints.
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
 
 use hamlet_core::feature_config::FeatureConfig;
 use hamlet_core::model_zoo::ModelSpec;
-use hamlet_serve::api::TrainRequest;
+use hamlet_serve::api::{ObserveResponse, PredictResponse, RolloutStartRequest, TrainRequest};
 use hamlet_serve::artifact::{Format, LoadMode, ModelArtifact};
-use hamlet_serve::http::ServerOptions;
+use hamlet_serve::http::{read_response, RawResponse, ServerOptions, MAX_KEEPALIVE_REQUESTS};
+use hamlet_serve::rollout::GuardrailConfig;
 use hamlet_serve::server::AppState;
 use hamlet_serve::train::{train_and_register, DATASETS};
+
+/// Server address every client subcommand and `serve` default to.
+const DEFAULT_ADDR: &str = "127.0.0.1:8080";
+
+/// Read timeout of the client subcommands' connections (`probe` derives
+/// its own from `--threshold-ms`).
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 const USAGE: &str = "hamlet-serve — model training and batched HTTP serving
 
@@ -161,8 +154,55 @@ KERNELS:  inference uses runtime-dispatched SIMD kernels (AVX2, then
           HAMLET_FORCE_SCALAR=1 to pin the bit-exact scalar reference.
 ";
 
+/// `--flag value` pairs from the command line, read through typed
+/// accessors whose errors name the flag and the value it was given.
+struct Flags(HashMap<String, String>);
+
+impl Flags {
+    /// The raw value of `--name`, if given.
+    fn str(&self, name: &str) -> Option<&str> {
+        self.0.get(name).map(String::as_str)
+    }
+
+    /// Whether `--name` was given (how the value-less switches are read).
+    fn has(&self, name: &str) -> bool {
+        self.0.contains_key(name)
+    }
+
+    /// `--name` parsed as `T`, if given.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.str(name)
+            .map(|v| v.parse().map_err(|_| format!("bad --{name} `{v}`")))
+            .transpose()
+    }
+
+    /// `--name` parsed as `T`, or `default` when absent.
+    fn get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// Like [`Flags::get`], but a given value must also pass `valid`;
+    /// `expected` describes the accepted values in the error.
+    fn checked<T: FromStr>(
+        &self,
+        name: &str,
+        default: T,
+        valid: impl Fn(&T) -> bool,
+        expected: &str,
+    ) -> Result<T, String> {
+        match self.opt(name)? {
+            None => Ok(default),
+            Some(v) if valid(&v) => Ok(v),
+            Some(_) => Err(format!(
+                "bad --{name} `{}` (expected {expected})",
+                self.str(name).unwrap_or_default()
+            )),
+        }
+    }
+}
+
 /// Splits CLI args into positional operands and `--flag value` pairs.
-fn parse_args(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+fn parse_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut i = 0;
@@ -184,7 +224,7 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>),
             i += 2;
         }
     }
-    Ok((positional, flags))
+    Ok((positional, Flags(flags)))
 }
 
 /// Parses a serde-named enum value (e.g. `TreeGini`) via its JSON form.
@@ -193,23 +233,119 @@ fn parse_enum<T: serde::Deserialize>(what: &str, value: &str) -> Result<T, Strin
         .map_err(|_| format!("unknown {what} `{value}` (see --help)"))
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
-    let name = flags.get("name").ok_or("--name is required")?.clone();
-    let dataset = flags.get("dataset").ok_or("--dataset is required")?.clone();
-    let spec: ModelSpec = parse_enum("spec", flags.get("spec").ok_or("--spec is required")?)?;
+/// One keep-alive HTTP/1.1 connection to a server. Every request is
+/// `Content-Length`-framed and its reply read with [`read_response`]; the
+/// connection is replaced before the server's keep-alive request cap
+/// would close it.
+struct Client {
+    addr: String,
+    timeout: Duration,
+    stream: TcpStream,
+    served: usize,
+}
+
+impl Client {
+    /// Connects to `addr`; a read that waits longer than `timeout` fails.
+    fn connect(addr: &str, timeout: Duration) -> Result<Client, String> {
+        let stream = TcpStream::connect(addr)
+            .and_then(|s| s.set_read_timeout(Some(timeout)).map(|()| s))
+            .map_err(|e| format!("connect {addr}: {e}"))?;
+        Ok(Client {
+            addr: addr.to_string(),
+            timeout,
+            stream,
+            served: 0,
+        })
+    }
+
+    /// Connects and completes one `GET /healthz` round trip, so the
+    /// server has adopted the connection as a keep-alive one.
+    fn adopted(addr: &str, timeout: Duration) -> Result<Client, String> {
+        let mut client = Client::connect(addr, timeout)?;
+        client.send("GET", "/healthz", "")?;
+        Ok(client)
+    }
+
+    /// Sends one request and reads its reply, whatever the status. The
+    /// duration is the round trip alone, never a reconnect.
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> Result<(RawResponse, Duration), String> {
+        if self.served + 1 >= MAX_KEEPALIVE_REQUESTS {
+            *self = Client::connect(&self.addr, self.timeout)?;
+        }
+        self.served += 1;
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: hamlet-serve\r\n\
+             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let sent = Instant::now();
+        self.stream
+            .write_all(request.as_bytes())
+            .map_err(|e| format!("send: {e}"))?;
+        let resp = read_response(&mut self.stream).map_err(|e| format!("recv: {e}"))?;
+        Ok((resp, sent.elapsed()))
+    }
+
+    /// POSTs `body` like [`Client::send`], but a status other than 200 is
+    /// an error naming it.
+    fn post(&mut self, path: &str, body: &str) -> Result<(Vec<u8>, Duration), String> {
+        let (resp, took) = self.send("POST", path, body)?;
+        if resp.status != 200 {
+            return Err(format!(
+                "HTTP {}: {}",
+                resp.status,
+                String::from_utf8_lossy(&resp.body)
+            ));
+        }
+        Ok((resp.body, took))
+    }
+}
+
+/// Nearest-rank percentile `q` of an ascending slice (0 when empty).
+fn pct(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+fn millis(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Writes a `--summary-json` line when the flag is given: `-` appends it
+/// to stdout (after any label lines, so diff-oriented consumers can still
+/// strip it with `head -n -1`), anything else names a file.
+fn write_summary(flags: &Flags, summary: &str) -> Result<(), String> {
+    match flags.str("summary-json") {
+        None => Ok(()),
+        Some("-") => {
+            println!("{summary}");
+            Ok(())
+        }
+        Some(dest) => std::fs::write(dest, format!("{summary}\n"))
+            .map_err(|e| format!("writing --summary-json {dest}: {e}")),
+    }
+}
+
+fn cmd_train(flags: &Flags) -> Result<(), String> {
+    let name = flags.str("name").ok_or("--name is required")?.to_string();
+    let dataset = flags
+        .str("dataset")
+        .ok_or("--dataset is required")?
+        .to_string();
+    let spec: ModelSpec = parse_enum("spec", flags.str("spec").ok_or("--spec is required")?)?;
     let config: Option<FeatureConfig> = flags
-        .get("config")
+        .str("config")
         .map(|c| parse_enum("config", c))
         .transpose()?;
-    let scale = flags
-        .get("scale")
-        .map(|s| s.parse().map_err(|_| format!("bad --scale `{s}`")))
-        .transpose()?;
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed `{s}`")))
-        .transpose()?;
-    let dir = PathBuf::from(flags.get("dir").map(String::as_str).unwrap_or("artifacts"));
+    let dir = flags.get("dir", PathBuf::from("artifacts"))?;
 
     // No warm-load: version allocation reads versions from artifact
     // filenames, so existing models need not be deserialized to train.
@@ -219,9 +355,9 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         dataset,
         spec,
         config,
-        scale,
-        seed,
-        full_budget: flags.get("full").map(|_| true),
+        scale: flags.opt("scale")?,
+        seed: flags.opt("seed")?,
+        full_budget: flags.has("full").then_some(true),
     };
     eprintln!(
         "training {} on `{}` ({})...",
@@ -237,97 +373,58 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_load_mode(flags: &HashMap<String, String>) -> Result<LoadMode, String> {
-    match flags.get("load-mode").map(String::as_str) {
-        None | Some("heap") => Ok(LoadMode::Heap),
-        Some("mmap") => Ok(LoadMode::Mmap),
-        Some(other) => Err(format!("bad --load-mode `{other}` (heap|mmap)")),
-    }
+/// `serve`'s rollout guardrails. Each threshold must be finite and in
+/// range: a NaN makes its comparison always false, which would switch
+/// that guardrail off and let a candidate promote unguarded.
+fn parse_guardrails(flags: &Flags) -> Result<GuardrailConfig, String> {
+    let d = GuardrailConfig::default();
+    let ratio = |p: &f64| (0.0..=1.0).contains(p);
+    const RATIO: &str = "a value in [0, 1]";
+    let min_samples: Option<u64> = flags.opt("guardrail-min-samples")?;
+    Ok(GuardrailConfig {
+        canary_slice: flags.checked(
+            "canary-slice",
+            d.canary_slice,
+            |s| (1..=100).contains(s),
+            "a percent in 1..=100",
+        )?,
+        min_shadow_rows: min_samples.unwrap_or(d.min_shadow_rows),
+        min_canary_requests: min_samples.unwrap_or(d.min_canary_requests),
+        min_agreement: flags.checked("guardrail-agreement", d.min_agreement, ratio, RATIO)?,
+        max_error_ratio: flags.checked("guardrail-error-ratio", d.max_error_ratio, ratio, RATIO)?,
+        max_p99_ratio: flags.checked(
+            "guardrail-p99-ratio",
+            d.max_p99_ratio,
+            |x| x.is_finite() && *x > 0.0,
+            "a finite ratio > 0",
+        )?,
+        drift_freeze: d.drift_freeze && !flags.has("no-drift-freeze"),
+        ..d
+    })
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    let addr = flags
-        .get("addr")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:8080");
-    let workers = match flags.get("workers") {
-        Some(w) => w.parse().map_err(|_| format!("bad --workers `{w}`"))?,
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4),
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    let addr = flags.str("addr").unwrap_or(DEFAULT_ADDR);
+    let defaults = ServerOptions::default();
+    let workers = flags.get("workers", defaults.workers)?;
+    let max_conns = flags.get("max-conns", defaults.max_conns)?;
+    let reactors = flags.get("reactors", defaults.reactors)?.max(1);
+    let dir = flags.get("dir", PathBuf::from("artifacts"))?;
+    let load_mode = match flags.str("load-mode") {
+        None | Some("heap") => LoadMode::Heap,
+        Some("mmap") => LoadMode::Mmap,
+        Some(other) => return Err(format!("bad --load-mode `{other}` (heap|mmap)")),
     };
-    let max_conns = match flags.get("max-conns") {
-        Some(m) => m.parse().map_err(|_| format!("bad --max-conns `{m}`"))?,
-        None => hamlet_serve::http::MAX_CONNS,
+    let coalesce_defaults = hamlet_serve::coalesce::CoalesceConfig::default();
+    let coalesce = hamlet_serve::coalesce::CoalesceConfig {
+        window: flags
+            .opt("coalesce-window")?
+            .map_or(coalesce_defaults.window, Duration::from_micros),
+        max_rows: flags.get("coalesce-max-rows", coalesce_defaults.max_rows)?,
     };
-    let reactors = match flags.get("reactors") {
-        Some(r) => {
-            let n: usize = r.parse().map_err(|_| format!("bad --reactors `{r}`"))?;
-            n.max(1)
-        }
-        None => ServerOptions::default().reactors,
-    };
-    let dir = PathBuf::from(flags.get("dir").map(String::as_str).unwrap_or("artifacts"));
-    let load_mode = parse_load_mode(flags)?;
-    let mut coalesce = hamlet_serve::coalesce::CoalesceConfig::default();
-    if let Some(w) = flags.get("coalesce-window") {
-        let micros: u64 = w
-            .parse()
-            .map_err(|_| format!("bad --coalesce-window `{w}` (microseconds)"))?;
-        coalesce.window = std::time::Duration::from_micros(micros);
-    }
-    if let Some(m) = flags.get("coalesce-max-rows") {
-        coalesce.max_rows = m
-            .parse()
-            .map_err(|_| format!("bad --coalesce-max-rows `{m}`"))?;
-    }
-
-    let demote_idle_secs: u64 = match flags.get("demote-idle-secs") {
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("bad --demote-idle-secs `{s}` (seconds, 0 disables)"))?,
-        None => 0,
-    };
-
-    let mut guardrails = hamlet_serve::rollout::GuardrailConfig::default();
-    if let Some(s) = flags.get("canary-slice") {
-        let slice: u8 = s.parse().map_err(|_| format!("bad --canary-slice `{s}`"))?;
-        if slice == 0 || slice > 100 {
-            return Err(format!("--canary-slice must be in 1..=100, got {slice}"));
-        }
-        guardrails.canary_slice = slice;
-    }
-    if let Some(s) = flags.get("guardrail-min-samples") {
-        let n: u64 = s
-            .parse()
-            .map_err(|_| format!("bad --guardrail-min-samples `{s}`"))?;
-        guardrails.min_shadow_rows = n;
-        guardrails.min_canary_requests = n;
-    }
-    if let Some(s) = flags.get("guardrail-agreement") {
-        guardrails.min_agreement = s
-            .parse()
-            .map_err(|_| format!("bad --guardrail-agreement `{s}`"))?;
-    }
-    if let Some(s) = flags.get("guardrail-error-ratio") {
-        guardrails.max_error_ratio = s
-            .parse()
-            .map_err(|_| format!("bad --guardrail-error-ratio `{s}`"))?;
-    }
-    if let Some(s) = flags.get("guardrail-p99-ratio") {
-        guardrails.max_p99_ratio = s
-            .parse()
-            .map_err(|_| format!("bad --guardrail-p99-ratio `{s}`"))?;
-    }
-    if flags.contains_key("no-drift-freeze") {
-        guardrails.drift_freeze = false;
-    }
-    let drift_check_secs: u64 = match flags.get("drift-check-secs") {
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("bad --drift-check-secs `{s}` (seconds, 0 disables)"))?,
-        None => 5,
-    };
+    let demote_idle_secs: u64 = flags.get("demote-idle-secs", 0)?;
+    let guardrails = parse_guardrails(flags)?;
+    let drift_check_secs: u64 = flags.get("drift-check-secs", 5)?;
 
     let (state, loaded) = AppState::warm_full(
         dir.clone(),
@@ -342,17 +439,17 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         workers,
         max_conns,
         reactors,
-        ..ServerOptions::default()
+        ..defaults
     };
     {
         // One ~1 Hz ops tick drives all three background loops: rollout
         // guardrail evaluation every pass, the drift advisor at its own
         // cadence, and idle-version demotion when enabled.
-        let idle = std::time::Duration::from_secs(demote_idle_secs);
+        let idle = Duration::from_secs(demote_idle_secs);
         let tick_state = std::sync::Arc::clone(&state);
         let passes = std::sync::atomic::AtomicU64::new(0);
         opts.on_tick = Some(hamlet_serve::http::AppTick {
-            every: std::time::Duration::from_secs(1),
+            every: Duration::from_secs(1),
             run: std::sync::Arc::new(move || {
                 let n = passes.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
                 tick_state
@@ -399,66 +496,44 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `probe`: open N idle keep-alive connections, then verify a fresh
 /// connection still answers promptly — the reactor's "idle connections are
 /// free" property as a CI-runnable smoke check.
-fn cmd_probe(flags: &HashMap<String, String>) -> Result<(), String> {
-    let addr = flags
-        .get("addr")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:8080");
-    let idle: usize = match flags.get("idle") {
-        Some(n) => n.parse().map_err(|_| format!("bad --idle `{n}`"))?,
-        None => 64,
-    };
-    let path = flags.get("path").map(String::as_str).unwrap_or("/healthz");
-    let body = flags.get("body").map(String::as_str).unwrap_or("");
-    let threshold_ms: f64 = match flags.get("threshold-ms") {
-        Some(t) => t.parse().map_err(|_| format!("bad --threshold-ms `{t}`"))?,
-        None => 2000.0,
-    };
+fn cmd_probe(flags: &Flags) -> Result<(), String> {
+    let addr = flags.str("addr").unwrap_or(DEFAULT_ADDR);
+    let idle: usize = flags.get("idle", 64)?;
+    let path = flags.str("path").unwrap_or("/healthz");
+    let body = flags.str("body").unwrap_or("");
+    let threshold_ms: f64 = flags.get("threshold-ms", 2000.0)?;
     // Blocking reads must not outlive the failure budget: if the server
     // wedges (the exact regression this probe exists to catch), the probe
     // has to exit nonzero promptly, not hang the CI job.
-    let io_timeout = std::time::Duration::from_millis((threshold_ms.max(1000.0) * 2.0) as u64);
+    let io_timeout = Duration::from_millis((threshold_ms.max(1000.0) * 2.0) as u64);
 
     // Park idle keep-alive connections. Each does one tiny request first so
     // it is a *bona fide* keep-alive connection, not just an unused socket.
-    let mut parked = Vec::with_capacity(idle);
-    for i in 0..idle {
-        let mut s = TcpStream::connect(addr)
-            .map_err(|e| format!("parking connection {i}: connect: {e}"))?;
-        s.set_read_timeout(Some(io_timeout))
-            .map_err(|e| format!("parking connection {i}: timeout: {e}"))?;
-        s.write_all(b"GET /healthz HTTP/1.1\r\nHost: probe\r\n\r\n")
-            .map_err(|e| format!("parking connection {i}: send: {e}"))?;
-        read_one_response(&mut s).map_err(|e| format!("parking connection {i}: {e}"))?;
-        parked.push(s);
-    }
+    let parked = (0..idle)
+        .map(|i| {
+            Client::adopted(addr, io_timeout).map_err(|e| format!("parking connection {i}: {e}"))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
 
     // One timed request on a fresh connection.
     let start = Instant::now();
-    let mut s = TcpStream::connect(addr).map_err(|e| format!("fresh connect: {e}"))?;
-    s.set_read_timeout(Some(io_timeout))
-        .map_err(|e| format!("fresh timeout: {e}"))?;
-    let request = if body.is_empty() {
-        format!("GET {path} HTTP/1.1\r\nHost: probe\r\nConnection: close\r\n\r\n")
-    } else {
-        format!(
-            "POST {path} HTTP/1.1\r\nHost: probe\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-    };
-    s.write_all(request.as_bytes())
-        .map_err(|e| format!("fresh send: {e}"))?;
-    let (status, resp_body) = read_one_response(&mut s).map_err(|e| format!("fresh recv: {e}"))?;
-    let latency_ms = start.elapsed().as_secs_f64() * 1e3;
+    let method = if body.is_empty() { "GET" } else { "POST" };
+    let (resp, _) = Client::connect(addr, io_timeout)
+        .and_then(|mut fresh| fresh.send(method, path, body))
+        .map_err(|e| format!("fresh connection: {e}"))?;
+    let latency_ms = millis(start.elapsed());
     drop(parked);
 
+    let status = resp.status;
     println!(
         "{{\"idle_connections\":{idle},\"path\":\"{path}\",\"status\":{status},\
          \"latency_ms\":{latency_ms:.3}}}"
     );
     if !(200..300).contains(&status) {
-        return Err(format!("probe got HTTP {status}: {resp_body}"));
+        return Err(format!(
+            "probe got HTTP {status}: {}",
+            String::from_utf8_lossy(&resp.body)
+        ));
     }
     if latency_ms > threshold_ms {
         return Err(format!(
@@ -469,182 +544,125 @@ fn cmd_probe(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// A blast body: `{n}` becomes the request index, `{i}` the index mod 2.
+fn render(template: &str, n: usize) -> String {
+    template
+        .replace("{n}", &n.to_string())
+        .replace("{i}", &(n % 2).to_string())
+}
+
+/// How long a [`drive`] run lasts, and what it keeps of each reply.
+#[derive(Clone, Copy)]
+enum Run {
+    /// Exactly this many requests, keeping each reply's labels and
+    /// cascade tiers.
+    Fixed(usize),
+    /// As many requests as fit in this long, keeping latencies only.
+    Sustained(Duration),
+}
+
+/// What a [`drive`] run collected, merged across its connections.
+#[derive(Default)]
+struct Driven {
+    /// Round-trip latency per request, in milliseconds.
+    latencies: Vec<f64>,
+    /// `(request index, labels JSON)` per request (fixed runs only).
+    labels: Vec<(usize, String)>,
+    /// The cascade tier that answered each row (fixed runs only; empty
+    /// when no reply carried tier provenance).
+    tiers: Vec<u8>,
+}
+
+/// POSTs `template` bodies to `path`, one thread per client: client `tid`
+/// of `k` sends requests `n = tid, tid + k, …` until the [`Run`] ends.
+fn drive(clients: Vec<Client>, path: &str, template: &str, run: Run) -> Result<Driven, String> {
+    let k = clients.len();
+    let requests = match run {
+        Run::Fixed(n) => n,
+        Run::Sustained(_) => usize::MAX,
+    };
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(tid, mut client)| {
+                scope.spawn(move || -> Result<Driven, String> {
+                    let mut out = Driven::default();
+                    for n in (tid..requests).step_by(k) {
+                        if matches!(run, Run::Sustained(d) if started.elapsed() >= d) {
+                            break;
+                        }
+                        let err = |e: String| format!("worker {tid} req {n}: {e}");
+                        let (body, took) = client.post(path, &render(template, n)).map_err(err)?;
+                        out.latencies.push(millis(took));
+                        if let Run::Fixed(_) = run {
+                            let resp: PredictResponse = serde_json::from_slice(&body)
+                                .map_err(|e| err(format!("not a predict response: {e}")))?;
+                            let labels = serde_json::to_string(&resp.labels)
+                                .map_err(|e| err(e.to_string()))?;
+                            out.labels.push((n, labels));
+                            out.tiers.extend(resp.tiers.unwrap_or_default());
+                        }
+                    }
+                    Ok(out)
+                })
+            })
+            .collect();
+        let mut all = Driven::default();
+        for h in handles {
+            let part = h.join().expect("blast worker panicked")?;
+            all.latencies.extend(part.latencies);
+            all.labels.extend(part.labels);
+            all.tiers.extend(part.tiers);
+        }
+        Ok(all)
+    })
+}
+
 /// `blast`: fire N POSTs from C parallel connections and print each
 /// response's `labels` keyed by request index — deterministic output for
 /// diffing server configurations (the CI coalescing probe runs this twice,
 /// with coalescing on and off, and requires identical files).
-fn cmd_blast(flags: &HashMap<String, String>) -> Result<(), String> {
-    let addr = flags
-        .get("addr")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:8080")
-        .to_string();
-    let path = flags
-        .get("path")
-        .map(String::as_str)
-        .unwrap_or("/v1/predict")
-        .to_string();
-    let template = flags
-        .get("body-template")
-        .ok_or("--body-template is required (use {n} for the request index, {i} for index mod 2)")?
-        .clone();
-    if flags.contains_key("observe") {
-        let path = if flags.contains_key("path") {
-            path.as_str()
-        } else {
-            "/v1/observe"
-        };
-        return cmd_blast_observe(&addr, path, &template, flags);
+fn cmd_blast(flags: &Flags) -> Result<(), String> {
+    let addr = flags.str("addr").unwrap_or(DEFAULT_ADDR);
+    let template = flags.str("body-template").ok_or(
+        "--body-template is required (use {n} for the request index, {i} for index mod 2)",
+    )?;
+    if flags.has("observe") {
+        let path = flags.str("path").unwrap_or("/v1/observe");
+        return blast_observe(addr, path, template, flags);
     }
-    if flags.contains_key("conns") || flags.contains_key("duration") {
-        return cmd_blast_sustained(&addr, &path, &template, flags);
+    let path = flags.str("path").unwrap_or("/v1/predict");
+    if flags.has("conns") || flags.has("duration") {
+        return blast_sustained(addr, path, template, flags);
     }
-    let requests: usize = match flags.get("requests") {
-        Some(n) => n.parse().map_err(|_| format!("bad --requests `{n}`"))?,
-        None => 64,
-    };
-    let concurrency: usize = match flags.get("concurrency") {
-        Some(c) => c.parse().map_err(|_| format!("bad --concurrency `{c}`"))?,
-        None => 16,
-    }
-    .clamp(1, requests.max(1));
-
-    let expect_tiers: usize = match flags.get("expect-tiers") {
-        Some(n) => n.parse().map_err(|_| format!("bad --expect-tiers `{n}`"))?,
-        None => 0,
-    };
+    let requests: usize = flags.get("requests", 64)?;
+    let concurrency = flags.get("concurrency", 16)?.clamp(1, requests.max(1));
+    let expect_tiers: usize = flags.get("expect-tiers", 0)?;
 
     let started = Instant::now();
-    type WorkerOut = (Vec<(usize, String)>, Vec<f64>, Vec<u64>);
-    let (mut results, mut latencies, tier_rows): (Vec<(usize, String)>, Vec<f64>, Vec<u64>) =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..concurrency)
-                .map(|tid| {
-                    let addr = addr.clone();
-                    let path = path.clone();
-                    let template = template.clone();
-                    scope.spawn(move || -> Result<WorkerOut, String> {
-                        let mut stream = TcpStream::connect(&addr)
-                            .map_err(|e| format!("worker {tid}: connect: {e}"))?;
-                        stream
-                            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-                            .map_err(|e| format!("worker {tid}: timeout: {e}"))?;
-                        let mut out = Vec::new();
-                        let mut lats = Vec::new();
-                        let mut tiers: Vec<u64> = Vec::new();
-                        let mut served = 0usize;
-                        for n in (tid..requests).step_by(concurrency) {
-                            // Stay under the server's keep-alive request cap.
-                            if served + 1 >= hamlet_serve::http::MAX_KEEPALIVE_REQUESTS {
-                                stream = TcpStream::connect(&addr)
-                                    .map_err(|e| format!("worker {tid}: reconnect: {e}"))?;
-                                stream
-                                    .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-                                    .map_err(|e| format!("worker {tid}: reconnect timeout: {e}"))?;
-                                served = 0;
-                            }
-                            served += 1;
-                            let body = template
-                                .replace("{n}", &n.to_string())
-                                .replace("{i}", &(n % 2).to_string());
-                            let request = format!(
-                                "POST {path} HTTP/1.1\r\nHost: blast\r\n\
-                                 Content-Type: application/json\r\nContent-Length: {}\r\n\r\n\
-                                 {body}",
-                                body.len()
-                            );
-                            let sent = Instant::now();
-                            stream
-                                .write_all(request.as_bytes())
-                                .map_err(|e| format!("worker {tid} req {n}: send: {e}"))?;
-                            let resp = hamlet_serve::http::read_response(&mut stream)
-                                .map_err(|e| format!("worker {tid} req {n}: recv: {e}"))?;
-                            lats.push(sent.elapsed().as_secs_f64() * 1e3);
-                            if resp.status != 200 {
-                                return Err(format!(
-                                    "worker {tid} req {n}: HTTP {}: {}",
-                                    resp.status,
-                                    String::from_utf8_lossy(&resp.body)
-                                ));
-                            }
-                            let body_text = String::from_utf8_lossy(&resp.body);
-                            // Strip the latency field: only the labels must be
-                            // comparable across configurations.
-                            let labels = body_text
-                                .split("\"labels\":")
-                                .nth(1)
-                                .and_then(|rest| rest.split(']').next())
-                                .map(|l| format!("{l}]"))
-                                .ok_or_else(|| {
-                                    format!("worker {tid} req {n}: no labels in {body_text}")
-                                })?;
-                            out.push((n, labels));
-                            // Cascade responses carry per-row tier
-                            // provenance (`"tiers":[0,1,...]`; `null` on
-                            // single-model artifacts) — tally rows per
-                            // tier for the summary.
-                            if let Some(list) = body_text
-                                .split("\"tiers\":[")
-                                .nth(1)
-                                .and_then(|rest| rest.split(']').next())
-                            {
-                                for t in list.split(',').filter_map(|t| t.trim().parse().ok()) {
-                                    let t: usize = t;
-                                    if tiers.len() <= t {
-                                        tiers.resize(t + 1, 0);
-                                    }
-                                    tiers[t] += 1;
-                                }
-                            }
-                        }
-                        Ok((out, lats, tiers))
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(requests);
-            let mut lats = Vec::with_capacity(requests);
-            let mut tiers: Vec<u64> = Vec::new();
-            let mut errors = Vec::new();
-            for h in handles {
-                match h.join().expect("blast worker panicked") {
-                    Ok((mut chunk, mut chunk_lats, chunk_tiers)) => {
-                        all.append(&mut chunk);
-                        lats.append(&mut chunk_lats);
-                        if tiers.len() < chunk_tiers.len() {
-                            tiers.resize(chunk_tiers.len(), 0);
-                        }
-                        for (acc, n) in tiers.iter_mut().zip(chunk_tiers) {
-                            *acc += n;
-                        }
-                    }
-                    Err(e) => errors.push(e),
-                }
-            }
-            if let Some(e) = errors.into_iter().next() {
-                return Err(e);
-            }
-            Ok((all, lats, tiers))
-        })?;
+    let clients = (0..concurrency)
+        .map(|_| Client::connect(addr, IO_TIMEOUT))
+        .collect::<Result<_, _>>()?;
+    let mut run = drive(clients, path, template, Run::Fixed(requests))?;
     let elapsed = started.elapsed();
-    results.sort_by_key(|(n, _)| *n);
-    for (n, labels) in &results {
+    run.labels.sort_by_key(|(n, _)| *n);
+    for (n, labels) in &run.labels {
         println!("{n}\t{labels}");
     }
-    // Client-observed per-request latency percentiles (nearest rank).
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |q: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1]
-    };
-    let (p50, p90, p99) = (pct(0.5), pct(0.9), pct(0.99));
+    run.latencies.sort_by(f64::total_cmp);
+    let lats = &run.latencies;
+    let (p50, p90, p99) = (pct(lats, 0.5), pct(lats, 0.9), pct(lats, 0.99));
     let req_per_s = requests as f64 / elapsed.as_secs_f64().max(1e-9);
     eprintln!(
         "blast: {requests} requests over {concurrency} connections in {elapsed:?} \
          ({req_per_s:.0} req/s), latency p50 {p50:.3} ms / p90 {p90:.3} ms / p99 {p99:.3} ms"
     );
+    let mut tier_rows = vec![0u64; run.tiers.iter().max().map_or(0, |&t| usize::from(t) + 1)];
+    for &t in &run.tiers {
+        tier_rows[usize::from(t)] += 1;
+    }
     if !tier_rows.is_empty() {
         eprintln!(
             "blast: cascade tier rows {tier_rows:?} ({} escalated past tier 0)",
@@ -660,42 +678,21 @@ fn cmd_blast(flags: &HashMap<String, String>) -> Result<(), String> {
             ));
         }
     }
-    if let Some(dest) = flags.get("summary-json") {
-        let tier_field = if tier_rows.is_empty() {
-            String::new()
-        } else {
-            let counts: Vec<String> = tier_rows.iter().map(u64::to_string).collect();
-            format!(",\"tier_rows\":[{}]", counts.join(","))
-        };
-        let summary = format!(
+    let tier_field = if tier_rows.is_empty() {
+        String::new()
+    } else {
+        let counts: Vec<String> = tier_rows.iter().map(u64::to_string).collect();
+        format!(",\"tier_rows\":[{}]", counts.join(","))
+    };
+    write_summary(
+        flags,
+        &format!(
             "{{\"requests\":{requests},\"concurrency\":{concurrency},\
              \"elapsed_ms\":{:.3},\"req_per_s\":{req_per_s:.1},\
              \"p50_ms\":{p50:.3},\"p90_ms\":{p90:.3},\"p99_ms\":{p99:.3}{tier_field}}}",
-            elapsed.as_secs_f64() * 1e3
-        );
-        if dest == "-" {
-            // After the label lines, so diff-oriented consumers of stdout
-            // can still strip it with `head -n -1`.
-            println!("{summary}");
-        } else {
-            std::fs::write(dest, summary + "\n")
-                .map_err(|e| format!("writing --summary-json {dest}: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
-/// Pulls the first unsigned-integer value of a `"name":N` JSON field out
-/// of a response body (the same split-based extraction blast uses for
-/// labels; good enough for the flat bodies this CLI consumes).
-fn json_u64_field(text: &str, name: &str) -> Option<u64> {
-    let rest = text.split(&format!("\"{name}\":")).nth(1)?;
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+            millis(elapsed)
+        ),
+    )
 }
 
 /// `blast --observe`: stream labeled rows into `/v1/observe` at a target
@@ -703,67 +700,27 @@ fn json_u64_field(text: &str, name: &str) -> Option<u64> {
 /// [`ObserveRequest`](hamlet_serve::api::ObserveRequest) JSON with the
 /// usual `{n}`/`{i}` substitutions, so CI and local runs can fabricate
 /// deterministic in-domain labeled traffic.
-fn cmd_blast_observe(
-    addr: &str,
-    path: &str,
-    template: &str,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    let requests: usize = match flags.get("requests") {
-        Some(n) => n.parse().map_err(|_| format!("bad --requests `{n}`"))?,
-        None => 64,
-    };
-    let rate: f64 = match flags.get("rate") {
-        Some(r) => r
-            .parse()
-            .map_err(|_| format!("bad --rate `{r}` (requests per second, 0 = unpaced)"))?,
-        None => 0.0,
-    };
-    let io_timeout = std::time::Duration::from_secs(30);
-    let connect = || -> Result<TcpStream, String> {
-        let s = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        s.set_read_timeout(Some(io_timeout))
-            .map_err(|e| format!("timeout: {e}"))?;
-        Ok(s)
-    };
+fn blast_observe(addr: &str, path: &str, template: &str, flags: &Flags) -> Result<(), String> {
+    let requests: usize = flags.get("requests", 64)?;
+    let rate: f64 = flags.get("rate", 0.0)?;
     let started = Instant::now();
-    let mut stream = connect()?;
-    let mut served = 0usize;
-    let mut accepted_total = 0u64;
-    let mut buffered_last = 0u64;
+    let mut client = Client::connect(addr, IO_TIMEOUT)?;
+    let (mut accepted_total, mut buffered_last) = (0, 0);
     for n in 0..requests {
         if rate > 0.0 {
-            let due = started + std::time::Duration::from_secs_f64(n as f64 / rate);
+            let due = started + Duration::from_secs_f64(n as f64 / rate);
             let now = Instant::now();
             if due > now {
                 std::thread::sleep(due - now);
             }
         }
-        if served + 1 >= hamlet_serve::http::MAX_KEEPALIVE_REQUESTS {
-            stream = connect()?;
-            served = 0;
-        }
-        served += 1;
-        let body = template
-            .replace("{n}", &n.to_string())
-            .replace("{i}", &(n % 2).to_string());
-        let request = format!(
-            "POST {path} HTTP/1.1\r\nHost: blast\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        stream
-            .write_all(request.as_bytes())
-            .map_err(|e| format!("req {n}: send: {e}"))?;
-        let resp = hamlet_serve::http::read_response(&mut stream)
-            .map_err(|e| format!("req {n}: recv: {e}"))?;
-        let body_text = String::from_utf8_lossy(&resp.body);
-        if resp.status != 200 {
-            return Err(format!("req {n}: HTTP {}: {body_text}", resp.status));
-        }
-        accepted_total += json_u64_field(&body_text, "accepted")
-            .ok_or_else(|| format!("req {n}: no `accepted` in {body_text}"))?;
-        buffered_last = json_u64_field(&body_text, "buffered").unwrap_or(buffered_last);
+        let (body, _) = client
+            .post(path, &render(template, n))
+            .map_err(|e| format!("req {n}: {e}"))?;
+        let resp: ObserveResponse = serde_json::from_slice(&body)
+            .map_err(|e| format!("req {n}: not an observe response: {e}"))?;
+        accepted_total += resp.accepted;
+        buffered_last = resp.buffered;
     }
     let elapsed = started.elapsed();
     let req_per_s = requests as f64 / elapsed.as_secs_f64().max(1e-9);
@@ -771,91 +728,14 @@ fn cmd_blast_observe(
         "blast observe: {requests} requests ({accepted_total} labeled rows) in {elapsed:?} \
          ({req_per_s:.0} req/s), {buffered_last} rows buffered server-side"
     );
-    if let Some(dest) = flags.get("summary-json") {
-        let summary = format!(
+    write_summary(
+        flags,
+        &format!(
             "{{\"mode\":\"observe\",\"requests\":{requests},\"rows_accepted\":{accepted_total},\
              \"buffered\":{buffered_last},\"elapsed_ms\":{:.3},\"req_per_s\":{req_per_s:.1}}}",
-            elapsed.as_secs_f64() * 1e3
-        );
-        if dest == "-" {
-            println!("{summary}");
-        } else {
-            std::fs::write(dest, summary + "\n")
-                .map_err(|e| format!("writing --summary-json {dest}: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
-/// `rollout status|start|abort`: thin HTTP client over the rollout plane's
-/// admin endpoints, printing the server's JSON verbatim.
-fn cmd_rollout(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
-    let addr = flags
-        .get("addr")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:8080");
-    let slice_field = || -> Result<String, String> {
-        match flags.get("slice") {
-            Some(s) => {
-                let slice: u8 = s.parse().map_err(|_| format!("bad --slice `{s}`"))?;
-                Ok(format!(",\"slice\":{slice}"))
-            }
-            None => Ok(String::new()),
-        }
-    };
-    let (method, path, body) = match positional.first().map(String::as_str) {
-        Some("status") => ("GET", "/v1/rollout/status", String::new()),
-        Some("start") => {
-            let body = match (flags.get("candidate"), flags.get("refresh")) {
-                (Some(key), None) => format!("{{\"candidate\":\"{key}\"{}}}", slice_field()?),
-                (None, Some(name)) => format!("{{\"refresh\":\"{name}\"{}}}", slice_field()?),
-                _ => {
-                    return Err(
-                        "rollout start needs exactly one of --candidate <KEY> (an already-\
-                         registered version) or --refresh <NAME> (warm-start refit on the \
-                         observe buffer)"
-                            .into(),
-                    )
-                }
-            };
-            ("POST", "/v1/rollout/start", body)
-        }
-        Some("abort") => ("POST", "/v1/rollout/abort", String::new()),
-        _ => {
-            return Err("usage: rollout <status|start|abort> [--addr <ADDR>] \
-                 [--candidate <KEY> | --refresh <NAME>] [--slice <PCT>]"
-                .into())
-        }
-    };
-    let mut s = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .map_err(|e| format!("timeout: {e}"))?;
-    let request = if body.is_empty() {
-        format!("{method} {path} HTTP/1.1\r\nHost: cli\r\nConnection: close\r\n\r\n")
-    } else {
-        format!(
-            "{method} {path} HTTP/1.1\r\nHost: cli\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-    };
-    s.write_all(request.as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-    let (status, resp_body) = read_one_response(&mut s)?;
-    println!("{resp_body}");
-    if !(200..300).contains(&status) {
-        return Err(format!("HTTP {status}"));
-    }
-    Ok(())
-}
-
-/// Nearest-rank percentile over an already-sorted latency vector.
-fn pct_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+            millis(elapsed)
+        ),
+    )
 }
 
 /// `blast --conns/--duration`: sustained open-loop mode. Opens `--conns`
@@ -866,155 +746,104 @@ fn pct_sorted(sorted: &[f64], q: f64) -> f64 {
 /// so it alone measures nothing). Then drives requests from `--active` of
 /// them for `--duration` seconds while the remainder sit parked as idle
 /// keep-alive load on the reactors.
-fn cmd_blast_sustained(
-    addr: &str,
-    path: &str,
-    template: &str,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    let conns: usize = match flags.get("conns") {
-        Some(n) => n.parse().map_err(|_| format!("bad --conns `{n}`"))?,
-        None => 256,
-    }
-    .max(1);
-    let duration_s: f64 = match flags.get("duration") {
-        Some(d) => d
-            .parse()
-            .map_err(|_| format!("bad --duration `{d}` (seconds)"))?,
-        None => 5.0,
-    };
-    if duration_s <= 0.0 {
-        return Err(format!("--duration must be positive, got {duration_s}"));
-    }
-    let active: usize = match flags.get("active") {
-        Some(a) => a.parse().map_err(|_| format!("bad --active `{a}`"))?,
-        None => 16,
-    }
-    .clamp(1, conns);
-    let io_timeout = std::time::Duration::from_secs(30);
+fn blast_sustained(addr: &str, path: &str, template: &str, flags: &Flags) -> Result<(), String> {
+    let conns = flags.get("conns", 256)?.max(1);
+    let duration_s = flags.checked(
+        "duration",
+        5.0,
+        |d| *d > 0.0 && Duration::try_from_secs_f64(*d).is_ok(),
+        "a positive number of seconds",
+    )?;
+    let active = flags.get("active", 16)?.clamp(1, conns);
 
     // Phase 1: open every connection, timing until its first (trivial)
     // response arrives.
     let mut accept_ms = Vec::with_capacity(conns);
-    let mut sockets = Vec::with_capacity(conns);
+    let mut clients = Vec::with_capacity(conns);
     for i in 0..conns {
         let t = Instant::now();
-        let mut s = TcpStream::connect(addr).map_err(|e| format!("conn {i}: connect: {e}"))?;
-        s.set_read_timeout(Some(io_timeout))
-            .map_err(|e| format!("conn {i}: timeout: {e}"))?;
-        s.write_all(b"GET /healthz HTTP/1.1\r\nHost: blast\r\n\r\n")
-            .map_err(|e| format!("conn {i}: send: {e}"))?;
-        read_one_response(&mut s).map_err(|e| format!("conn {i}: {e}"))?;
-        accept_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        sockets.push(s);
+        clients.push(Client::adopted(addr, IO_TIMEOUT).map_err(|e| format!("conn {i}: {e}"))?);
+        accept_ms.push(millis(t.elapsed()));
     }
 
     // Phase 2: the active subset drives requests until the deadline; the
     // parked majority stays open, exercising "idle connections are free".
-    let deadline = Instant::now() + std::time::Duration::from_secs_f64(duration_s);
+    let parked = clients.split_off(active);
     let started = Instant::now();
-    let drivers: Vec<TcpStream> = sockets.drain(..active).collect();
-    let mut latencies: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = drivers
-            .into_iter()
-            .enumerate()
-            .map(|(tid, mut stream)| {
-                scope.spawn(move || -> Result<Vec<f64>, String> {
-                    let mut lats = Vec::new();
-                    // The accept-phase /healthz already used one request.
-                    let mut served = 1usize;
-                    let mut n = tid;
-                    while Instant::now() < deadline {
-                        if served + 1 >= hamlet_serve::http::MAX_KEEPALIVE_REQUESTS {
-                            stream = TcpStream::connect(addr)
-                                .map_err(|e| format!("driver {tid}: reconnect: {e}"))?;
-                            stream
-                                .set_read_timeout(Some(io_timeout))
-                                .map_err(|e| format!("driver {tid}: reconnect timeout: {e}"))?;
-                            served = 0;
-                        }
-                        served += 1;
-                        let body = template
-                            .replace("{n}", &n.to_string())
-                            .replace("{i}", &(n % 2).to_string());
-                        let request = format!(
-                            "POST {path} HTTP/1.1\r\nHost: blast\r\n\
-                             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n\
-                             {body}",
-                            body.len()
-                        );
-                        let sent = Instant::now();
-                        stream
-                            .write_all(request.as_bytes())
-                            .map_err(|e| format!("driver {tid} req {n}: send: {e}"))?;
-                        let resp = hamlet_serve::http::read_response(&mut stream)
-                            .map_err(|e| format!("driver {tid} req {n}: recv: {e}"))?;
-                        if resp.status != 200 {
-                            return Err(format!(
-                                "driver {tid} req {n}: HTTP {}: {}",
-                                resp.status,
-                                String::from_utf8_lossy(&resp.body)
-                            ));
-                        }
-                        lats.push(sent.elapsed().as_secs_f64() * 1e3);
-                        n += active;
-                    }
-                    Ok(lats)
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        let mut errors = Vec::new();
-        for h in handles {
-            match h.join().expect("blast driver panicked") {
-                Ok(mut chunk) => all.append(&mut chunk),
-                Err(e) => errors.push(e),
-            }
-        }
-        if let Some(e) = errors.into_iter().next() {
-            return Err(e);
-        }
-        Ok(all)
-    })?;
+    let mut run = drive(
+        clients,
+        path,
+        template,
+        Run::Sustained(Duration::from_secs_f64(duration_s)),
+    )?;
     let elapsed = started.elapsed();
-    drop(sockets);
+    drop(parked);
 
-    accept_ms.sort_by(|a, b| a.total_cmp(b));
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let requests = latencies.len();
+    accept_ms.sort_by(f64::total_cmp);
+    run.latencies.sort_by(f64::total_cmp);
+    let lats = &run.latencies;
+    let requests = lats.len();
     let req_per_s = requests as f64 / elapsed.as_secs_f64().max(1e-9);
-    let (ap50, ap99) = (pct_sorted(&accept_ms, 0.5), pct_sorted(&accept_ms, 0.99));
-    let (p50, p90, p99) = (
-        pct_sorted(&latencies, 0.5),
-        pct_sorted(&latencies, 0.9),
-        pct_sorted(&latencies, 0.99),
-    );
+    let (ap50, ap99) = (pct(&accept_ms, 0.5), pct(&accept_ms, 0.99));
+    let (p50, p90, p99) = (pct(lats, 0.5), pct(lats, 0.9), pct(lats, 0.99));
     eprintln!(
         "blast sustained: {conns} conns ({active} active) for {:.1}s: {requests} requests \
          ({req_per_s:.0} req/s), accept p50 {ap50:.3} ms / p99 {ap99:.3} ms, \
          latency p50 {p50:.3} ms / p90 {p90:.3} ms / p99 {p99:.3} ms",
         elapsed.as_secs_f64()
     );
-    if let Some(dest) = flags.get("summary-json") {
-        let summary = format!(
+    write_summary(
+        flags,
+        &format!(
             "{{\"mode\":\"sustained\",\"conns\":{conns},\"active\":{active},\
              \"duration_s\":{:.3},\"requests\":{requests},\"req_per_s\":{req_per_s:.1},\
              \"accept_p50_ms\":{ap50:.3},\"accept_p99_ms\":{ap99:.3},\
              \"p50_ms\":{p50:.3},\"p90_ms\":{p90:.3},\"p99_ms\":{p99:.3}}}",
             elapsed.as_secs_f64()
-        );
-        if dest == "-" {
-            println!("{summary}");
-        } else {
-            std::fs::write(dest, summary + "\n")
-                .map_err(|e| format!("writing --summary-json {dest}: {e}"))?;
+        ),
+    )
+}
+
+/// `rollout status|start|abort`: thin HTTP client over the rollout plane's
+/// admin endpoints, printing the server's JSON verbatim.
+fn cmd_rollout(positional: &[String], flags: &Flags) -> Result<(), String> {
+    let (method, path, body) = match positional.first().map(String::as_str) {
+        Some("status") => ("GET", "/v1/rollout/status", String::new()),
+        Some("start") => {
+            let req = RolloutStartRequest {
+                candidate: flags.opt("candidate")?,
+                refresh: flags.opt("refresh")?,
+                slice: flags.opt("slice")?,
+            };
+            if req.candidate.is_some() == req.refresh.is_some() {
+                return Err(
+                    "rollout start needs exactly one of --candidate <KEY> (an already-\
+                     registered version) or --refresh <NAME> (warm-start refit on the \
+                     observe buffer)"
+                        .into(),
+                );
+            }
+            let body = serde_json::to_string(&req).map_err(|e| e.to_string())?;
+            ("POST", "/v1/rollout/start", body)
         }
+        Some("abort") => ("POST", "/v1/rollout/abort", String::new()),
+        _ => {
+            return Err("usage: rollout <status|start|abort> [--addr <ADDR>] \
+                 [--candidate <KEY> | --refresh <NAME>] [--slice <PCT>]"
+                .into())
+        }
+    };
+    let addr = flags.str("addr").unwrap_or(DEFAULT_ADDR);
+    let (resp, _) = Client::connect(addr, IO_TIMEOUT)?.send(method, path, &body)?;
+    println!("{}", String::from_utf8_lossy(&resp.body));
+    if !(200..300).contains(&resp.status) {
+        return Err(format!("HTTP {}", resp.status));
     }
     Ok(())
 }
 
 /// `artifact inspect|convert|diff`: offline artifact tooling.
-fn cmd_artifact(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_artifact(positional: &[String], flags: &Flags) -> Result<(), String> {
     match positional.first().map(String::as_str) {
         Some("inspect") => {
             let [path] = &positional[1..] else {
@@ -1115,21 +944,21 @@ fn artifact_inspect(path: &Path) -> Result<(), String> {
 }
 
 /// Rewrites an artifact between formats, reporting both sizes.
-fn artifact_convert(src: &Path, flags: &HashMap<String, String>) -> Result<(), String> {
-    let to = match flags.get("to").map(String::as_str) {
+fn artifact_convert(src: &Path, flags: &Flags) -> Result<(), String> {
+    let to = match flags.str("to") {
         None | Some("v3") => Format::V3,
         Some("v2") => Format::V2,
         Some(other) => return Err(format!("bad --to `{other}` (v3|v2)")),
     };
     let out_dir = flags
-        .get("dir")
+        .str("dir")
         .map(PathBuf::from)
         .or_else(|| src.parent().map(Path::to_path_buf))
         .unwrap_or_else(|| PathBuf::from("."));
     let artifact =
         ModelArtifact::load(src).map_err(|e| format!("loading {}: {e}", src.display()))?;
-    if let Some(spec) = flags.get("quantize") {
-        if flags.get("to").map(String::as_str) == Some("v2") {
+    if let Some(spec) = flags.str("quantize") {
+        if to == Format::V2 {
             return Err("--quantize writes v3 binary artifacts; drop --to v2".into());
         }
         let enc = hamlet_ml::quant::QuantEncoding::parse(spec)
@@ -1174,12 +1003,9 @@ fn artifact_quantize(
     artifact: &ModelArtifact,
     enc: hamlet_ml::quant::QuantEncoding,
     out_dir: &Path,
-    flags: &HashMap<String, String>,
+    flags: &Flags,
 ) -> Result<(), String> {
-    let sample_rows: usize = match flags.get("sample-rows") {
-        Some(n) => n.parse().map_err(|_| format!("bad --sample-rows `{n}`"))?,
-        None => 512,
-    };
+    let sample_rows: usize = flags.get("sample-rows", 512)?;
     let mut quantized = artifact.clone();
     quantized.model = artifact
         .model
@@ -1189,23 +1015,12 @@ fn artifact_quantize(
     // servable next to its quantized sibling.
     quantized.name = format!("{}-{}", artifact.name, enc.name());
 
-    // Agreement estimate: a fixed-seed LCG draws in-domain codes from the
-    // contract cardinalities, so the report is reproducible run to run.
     let cards: Vec<u32> = artifact.features().iter().map(|f| f.cardinality).collect();
     let d = cards.len();
     let agreement = if d == 0 || sample_rows == 0 {
         1.0
     } else {
-        let mut state = 0x243F6A88_85A308D3u64;
-        let mut rows = Vec::with_capacity(sample_rows * d);
-        for _ in 0..sample_rows {
-            for &card in &cards {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                rows.push(((state >> 33) % u64::from(card.max(1))) as u32);
-            }
-        }
+        let rows = sample_in_domain_rows(&cards, sample_rows);
         let base = artifact.model.predict_batch(&rows, d);
         let quant = quantized.model.predict_batch(&rows, d);
         let same = base.iter().zip(&quant).filter(|(a, b)| a == b).count();
@@ -1230,7 +1045,7 @@ fn artifact_quantize(
 }
 
 /// `cascade build`: bundle existing artifacts into a tiered cascade.
-fn cmd_cascade(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_cascade(positional: &[String], flags: &Flags) -> Result<(), String> {
     match positional.first().map(String::as_str) {
         Some("build") => cascade_build(flags),
         _ => Err(
@@ -1242,8 +1057,8 @@ fn cmd_cascade(positional: &[String], flags: &HashMap<String, String>) -> Result
 }
 
 /// Deterministic in-domain sample rows: a fixed-seed LCG drawing codes
-/// from the contract cardinalities, identical run to run (the same
-/// generator the quantization agreement estimate uses).
+/// from the contract cardinalities, identical run to run, so the
+/// quantization agreement and cascade calibration reports reproduce.
 fn sample_in_domain_rows(cards: &[u32], n: usize) -> Vec<u32> {
     let mut state = 0x243F6A88_85A308D3u64;
     let mut rows = Vec::with_capacity(n * cards.len());
@@ -1258,12 +1073,12 @@ fn sample_in_domain_rows(cards: &[u32], n: usize) -> Vec<u32> {
     rows
 }
 
-fn cascade_build(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cascade_build(flags: &Flags) -> Result<(), String> {
     use hamlet_ml::any::AnyClassifier;
     use hamlet_ml::cascade::{pick_threshold, Calibrator, CascadeModel, CascadeTier};
 
     let tier_paths: Vec<PathBuf> = flags
-        .get("tiers")
+        .str("tiers")
         .ok_or("--tiers is required (comma-separated artifact paths, cheapest first, top last)")?
         .split(',')
         .filter(|p| !p.is_empty())
@@ -1274,21 +1089,19 @@ fn cascade_build(flags: &HashMap<String, String>) -> Result<(), String> {
             "--tiers needs at least two artifact paths (cheap front tier, top tier)".into(),
         );
     }
-    let target_p: f64 = match flags.get("target-p") {
-        Some(p) => p.parse().map_err(|_| format!("bad --target-p `{p}`"))?,
-        None => 0.95,
-    };
-    if !(0.0..=1.0).contains(&target_p) {
-        return Err(format!("--target-p must be in [0, 1], got {target_p}"));
-    }
-    let sample_rows: usize = match flags.get("sample-rows") {
-        Some(n) => n.parse().map_err(|_| format!("bad --sample-rows `{n}`"))?,
-        None => 2048,
-    };
-    if sample_rows == 0 {
-        return Err("--sample-rows must be positive: calibration needs data".into());
-    }
-    let isotonic = match flags.get("calibrator").map(String::as_str) {
+    let target_p = flags.checked(
+        "target-p",
+        0.95,
+        |p| (0.0..=1.0).contains(p),
+        "a rate in [0, 1]",
+    )?;
+    let sample_rows = flags.checked(
+        "sample-rows",
+        2048,
+        |&n| n > 0,
+        "a positive row count: calibration needs data",
+    )?;
+    let isotonic = match flags.str("calibrator") {
         None | Some("platt") => false,
         Some("isotonic") => true,
         Some(other) => return Err(format!("bad --calibrator `{other}` (platt|isotonic)")),
@@ -1406,16 +1219,15 @@ fn cascade_build(flags: &HashMap<String, String>) -> Result<(), String> {
     let escalation_ratio = escalated as f64 / tiered.labels.len().max(1) as f64;
 
     let out_dir = flags
-        .get("dir")
+        .str("dir")
         .map(PathBuf::from)
         .or_else(|| tier_paths[0].parent().map(Path::to_path_buf))
         .unwrap_or_else(|| PathBuf::from("."));
     let mut out = top_artifact.clone();
     out.model = AnyClassifier::Cascade(cascade);
     out.name = flags
-        .get("name")
-        .cloned()
-        .unwrap_or_else(|| format!("{}-casc", top_artifact.name));
+        .str("name")
+        .map_or_else(|| format!("{}-casc", top_artifact.name), str::to_string);
     // Cascades need the v3 CASC descriptor section.
     let dst = out
         .save_format(&out_dir, Format::V3)
@@ -1445,12 +1257,6 @@ fn cascade_build(flags: &HashMap<String, String>) -> Result<(), String> {
         top_ns as f64 / cascade_ns.max(1) as f64,
     );
     Ok(())
-}
-
-/// Reads one HTTP response, returning (status, body text).
-fn read_one_response(s: &mut TcpStream) -> Result<(u16, String), String> {
-    let resp = hamlet_serve::http::read_response(s).map_err(|e| format!("recv: {e}"))?;
-    Ok((resp.status, String::from_utf8_lossy(&resp.body).to_string()))
 }
 
 fn main() -> ExitCode {
@@ -1496,5 +1302,127 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hamlet_serve::http::{Request, Responder, Response, Server};
+    use std::sync::Arc;
+
+    fn flags(args: &[&str]) -> Flags {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).expect("well-formed args").1
+    }
+
+    /// Echoes the request body with a 200, except `/missing`: a 404.
+    fn echo_server() -> Server {
+        Server::bind(
+            "127.0.0.1:0",
+            1,
+            Arc::new(|req: &Request, responder: Responder| {
+                let status = if req.path == "/missing" { 404 } else { 200 };
+                responder.send(Response::json(status, req.body.clone()))
+            }),
+        )
+        .expect("bind an ephemeral port")
+    }
+
+    #[test]
+    fn client_reconnects_before_the_keepalive_cap() {
+        let server = echo_server();
+        let mut client = Client::connect(&server.addr().to_string(), IO_TIMEOUT).unwrap();
+        // The server closes a connection at its request cap, so more than
+        // two caps' worth of calls succeed only if the client reconnects.
+        for n in 0..2 * MAX_KEEPALIVE_REQUESTS + 1 {
+            let body = format!("{{\"n\":{n}}}");
+            let (echo, _) = client.post("/echo", &body).unwrap();
+            assert_eq!(echo, body.as_bytes(), "call {n}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn client_post_names_a_non_200_status() {
+        let server = echo_server();
+        let mut client = Client::connect(&server.addr().to_string(), IO_TIMEOUT).unwrap();
+        let err = client.post("/missing", "{}").unwrap_err();
+        assert!(err.starts_with("HTTP 404"), "{err}");
+        // `send` hands back any status, and the connection stays usable.
+        let (resp, _) = client.send("GET", "/missing", "").unwrap();
+        assert_eq!(resp.status, 404);
+        assert!(client.post("/echo", "{}").is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn flag_reader_defaults_parses_and_names_bad_values() {
+        let f = flags(&["--requests", "12", "--concurrency", "many", "--full"]);
+        assert_eq!(f.get("absent", 64usize), Ok(64));
+        assert_eq!(f.get("requests", 64usize), Ok(12));
+        assert_eq!(f.opt::<usize>("absent"), Ok(None));
+        assert_eq!(
+            f.get("concurrency", 16usize),
+            Err("bad --concurrency `many`".to_string())
+        );
+        assert!(f.has("full"));
+        let positive = |n: &usize| *n > 0;
+        assert_eq!(f.checked("requests", 1, positive, "n > 0"), Ok(12));
+        assert_eq!(
+            flags(&["--requests", "0"]).checked("requests", 1, positive, "n > 0"),
+            Err("bad --requests `0` (expected n > 0)".to_string())
+        );
+    }
+
+    #[test]
+    fn blast_rejects_a_non_finite_or_non_positive_duration() {
+        for bad in ["nan", "NaN", "inf", "-inf", "0", "-1", "1e300"] {
+            let f = flags(&["--conns", "1", "--duration", bad, "--body-template", "{}"]);
+            let err = cmd_blast(&f).unwrap_err();
+            assert!(err.starts_with(&format!("bad --duration `{bad}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn guardrail_flags_reject_values_that_would_disable_a_check() {
+        for (flag, bad) in [
+            ("guardrail-agreement", "nan"),
+            ("guardrail-agreement", "-0.1"),
+            ("guardrail-agreement", "1.5"),
+            ("guardrail-error-ratio", "NaN"),
+            ("guardrail-error-ratio", "inf"),
+            ("guardrail-error-ratio", "2"),
+            ("guardrail-p99-ratio", "nan"),
+            ("guardrail-p99-ratio", "inf"),
+            ("guardrail-p99-ratio", "0"),
+            ("guardrail-p99-ratio", "-3"),
+            ("canary-slice", "0"),
+            ("canary-slice", "101"),
+        ] {
+            let err = parse_guardrails(&flags(&[&format!("--{flag}"), bad])).unwrap_err();
+            assert!(err.starts_with(&format!("bad --{flag} `{bad}`")), "{err}");
+        }
+        let g = parse_guardrails(&flags(&[
+            "--guardrail-agreement",
+            "1",
+            "--guardrail-error-ratio",
+            "0",
+            "--guardrail-p99-ratio",
+            "1.5",
+            "--guardrail-min-samples",
+            "8",
+            "--no-drift-freeze",
+        ]))
+        .unwrap();
+        assert_eq!(
+            (g.min_agreement, g.max_error_ratio, g.max_p99_ratio),
+            (1.0, 0.0, 1.5)
+        );
+        assert_eq!((g.min_shadow_rows, g.min_canary_requests), (8, 8));
+        assert!(!g.drift_freeze);
+        let d = parse_guardrails(&flags(&[])).unwrap();
+        assert_eq!(d.min_agreement, GuardrailConfig::default().min_agreement);
+        assert!(d.drift_freeze);
     }
 }

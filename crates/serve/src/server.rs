@@ -675,6 +675,13 @@ fn rollout_start(
     req: &Request,
 ) -> Result<crate::rollout::RolloutSnapshot, ServeError> {
     let body: RolloutStartRequest = parse_body(req)?;
+    // A 0% slice never routes a canary request, so the rollout could never
+    // promote and would block every later start.
+    if let Some(slice) = body.slice.filter(|s| !(1..=100).contains(s)) {
+        return Err(ServeError::BadRequest(format!(
+            "slice must be a percent in 1..=100, got {slice}"
+        )));
+    }
     let key = match (&body.candidate, &body.refresh) {
         (Some(key), None) => key.clone(),
         (None, Some(name)) => {
@@ -1439,6 +1446,27 @@ mod tests {
             "{\"candidate\":\"a@1\",\"refresh\":\"a\"}",
         );
         assert_eq!(status, 400);
+    }
+
+    #[test]
+    fn rollout_start_rejects_a_slice_outside_1_to_100() {
+        let app = state();
+        app.registry
+            .insert(crate::artifact::tests::toy_artifact("m", 1));
+        app.registry
+            .insert(crate::artifact::tests::toy_artifact("m", 2));
+        let handler = router(Arc::clone(&app));
+        for slice in [0, 101] {
+            let (status, body) = call(
+                &handler,
+                "POST",
+                "/v1/rollout/start",
+                &format!("{{\"candidate\":\"m@2\",\"slice\":{slice}}}"),
+            );
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("1..=100"), "{body}");
+        }
+        assert!(app.rollout.active().is_none(), "no rollout was started");
     }
 
     #[test]
